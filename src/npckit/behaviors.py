@@ -193,10 +193,9 @@ class AdminBehavior(Behavior):
     def _op_fetch(self, conn, msg: dict) -> None:
         wanted = msg.get("name", "")
         name = self.ctx.server.next_name("req")
-        spec = PortSpec("request", {"entry": wanted})
         self.ctx.node.attachments[name] = {"conn": conn}
         try:
-            self.ctx.post(insert_event(port_entry(name, spec)))
+            self.ctx.post(insert_event(port_entry(name, request_spec(self.ctx.node, wanted))))
         except Exception as e:
             self.ctx.node.attachments.pop(name, None)
             _err(conn, getattr(e, "code", "rejected"), str(e))
@@ -404,6 +403,14 @@ class PullerBehavior(Behavior):
 
 # ---------------------------------------------------------------------------
 # request: fetch one document and answer whoever asked
+
+def request_spec(node, wanted: str) -> PortSpec:
+    """Spec of a port that fetches ``wanted`` from ``node``.  Its
+    subscription starts at the end of history: the port subscribes only
+    when ``wanted`` is missing from the table, and then the backlog holds
+    no live Insert of it, since a Remove cancels them all."""
+    return PortSpec("request", {"entry": wanted}, cursor=node.history.last_seq + 1)
+
 
 @behavior("request")
 class RequestBehavior(Behavior):

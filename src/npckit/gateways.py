@@ -115,7 +115,11 @@ class LoopbackNetwork:
 
 class TcpConn(Conn):
     """Socket-backed channel end; a daemon thread reads frames into the
-    owning server's inbound queue."""
+    owning server's inbound queue.
+
+    Only that reader thread closes the socket, once ``recv`` has returned
+    and holding the write lock, so no other thread can be inside a call on
+    the descriptor when its number is freed for reuse."""
 
     def __init__(self, label: str, sock: socket.socket, enqueue):
         super().__init__(label)
@@ -140,10 +144,11 @@ class TcpConn(Conn):
         if not self.closed:
             self.closed = True
             self._enqueue(self, {"v": 1, "kind": "bye"})
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        with self._wlock:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
 
     def send(self, msg: dict) -> bool:
         if self.closed:
@@ -157,22 +162,20 @@ class TcpConn(Conn):
             return False
 
     def close(self) -> None:
+        """Say bye and shut the socket down; the reader thread then sees
+        the end of the stream and closes the descriptor."""
         if self.closed:
             return
         self.closed = True
-        try:
-            with self._wlock:
+        with self._wlock:
+            try:
                 self._sock.sendall(bye_frame())
-        except OSError:
-            pass
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+            except OSError:
+                pass
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 class TcpListener:
@@ -209,11 +212,16 @@ class TcpListener:
             conn.start()
 
     def stop(self) -> None:
+        """Wake the accept thread, which a bare close leaves blocked in
+        ``accept()``, wait for it to end, then close the socket."""
         self._stopping = True
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        if self._thread.is_alive():
+            self._thread.join(timeout=2)
+        self._sock.close()
 
 
 def dial_tcp(host: str, port: int, enqueue, timeout: float = 5.0) -> TcpConn:

@@ -8,7 +8,8 @@ Receive events are never recorded; they only arm a subscription.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 
 from .filters import FilterExpr, eval_filter
 from .model import Entry
@@ -22,8 +23,6 @@ CLOSE = "Close"
 TIME = "Time"
 
 KINDS = frozenset([INSERT, REMOVE, RECEIVE, SUSPEND, RESUME, CLOSE, TIME])
-ENTRY_EVENT_KINDS = frozenset([INSERT, REMOVE])
-FLOW_KINDS = frozenset([RECEIVE, SUSPEND, RESUME, CLOSE])
 
 NODE_ORIGIN = "@node"
 
@@ -86,16 +85,20 @@ def is_exclusive(ev: Event) -> bool:
     return ev.entry is not None and ev.entry.meta.get("exclusive") == "true"
 
 
-def snapshot_entry_from_event(ev: Event) -> Entry:
-    if ev.entry is None:
-        raise HistoryError("no-entry", f"{ev.kind} event carries no entry")
-    return ev.entry
-
-
 class HistoryError(Exception):
     def __init__(self, code: str, message: str = ""):
         super().__init__(f"{code}: {message}" if message else code)
         self.code = code
+
+
+def _cancel_key(ev: Event) -> tuple | None:
+    """The key shared by a Remove and the Inserts it cancels, and by a
+    Close and the Resumes it cancels; None for events outside both pairs."""
+    if ev.kind in (INSERT, REMOVE):
+        return None if ev.entry is None else (INSERT, ev.entry.name)
+    if ev.kind in (RESUME, CLOSE):
+        return (RESUME, ev.origin_port, ev.subscription)
+    return None
 
 
 class EventHistory:
@@ -104,6 +107,11 @@ class EventHistory:
     ``max_events`` limits the number of live events; the oldest are dropped
     first.  ``dropped`` counts everything that left the log, whether
     cancelled or aged out.
+
+    No operation walks the log from its head: a Remove or Close finds what
+    it cancels under its cancel key, and reads bisect to their cursor in
+    the ascending list of stamped seqs.  Dead seqs stay in that list until
+    they outnumber the live ones.
     """
 
     def __init__(self, max_events: int | None = None, clock=None):
@@ -111,15 +119,20 @@ class EventHistory:
             raise ValueError("max_events must be positive or None")
         self.max_events = max_events
         self._clock = clock or (lambda: 0)
-        self.live: list[Event] = []
         self.dropped = 0
         self._last_seq = 0
-        self._live_seqs: set[int] = set()
+        self._by_seq: dict[int, Event] = {}  # the live events, in seq order
+        self._seqs: list[int] = []  # ascending; dead seqs until compaction
+        self._head = 0  # every seq before this position is dead
+        self._cancellable: dict[tuple, set[int]] = {}
         self._consumed: set[int] = set()
-        self._by_seq: dict[int, Event] = {}
 
     def __len__(self) -> int:
-        return len(self.live)
+        return len(self._by_seq)
+
+    @property
+    def live(self) -> list[Event]:
+        return list(self._by_seq.values())
 
     @property
     def last_seq(self) -> int:
@@ -139,49 +152,55 @@ class EventHistory:
             raise HistoryError("already-stamped", f"seq {ev.seq}")
         self._last_seq += 1
         stamped = replace(ev, seq=self._last_seq, created_at=self._clock())
-        if stamped.kind == REMOVE and stamped.entry is not None:
-            self._drop_where(lambda e: e.kind == INSERT and e.entry is not None
-                             and e.entry.name == stamped.entry.name)
-        elif stamped.kind == CLOSE:
-            self._drop_where(lambda e: e.kind == RESUME
-                             and e.origin_port == stamped.origin_port
-                             and e.subscription == stamped.subscription)
-        self.live.append(stamped)
-        self._live_seqs.add(stamped.seq)
+        key = _cancel_key(stamped)
+        if key is not None:
+            if stamped.kind in (REMOVE, CLOSE):
+                for seq in self._cancellable.pop(key, ()):
+                    self._forget(seq)
+            else:
+                self._cancellable.setdefault(key, set()).add(stamped.seq)
         self._by_seq[stamped.seq] = stamped
+        self._seqs.append(stamped.seq)
         if self.max_events is not None:
-            while len(self.live) > self.max_events:
-                old = self.live.pop(0)
-                self._forget(old.seq)
+            while len(self._by_seq) > self.max_events:
+                while self._seqs[self._head] not in self._by_seq:
+                    self._head += 1
+                self._forget(self._seqs[self._head])
+        if len(self._seqs) > 2 * len(self._by_seq):
+            self._seqs = [s for s in self._seqs[self._head:] if s in self._by_seq]
+            self._head = 0
         return stamped
 
-    def _drop_where(self, pred) -> None:
-        kept = []
-        for e in self.live:
-            if pred(e):
-                self._forget(e.seq, keep_list=True)
-            else:
-                kept.append(e)
-        self.live = kept
-
-    def _forget(self, seq: int, keep_list: bool = False) -> None:
-        self._live_seqs.discard(seq)
+    def _forget(self, seq: int) -> None:
+        key = _cancel_key(self._by_seq.pop(seq))
+        seqs = self._cancellable.get(key)
+        if seqs is not None:
+            seqs.discard(seq)
+            if not seqs:
+                del self._cancellable[key]
         self._consumed.discard(seq)
-        self._by_seq.pop(seq, None)
         self.dropped += 1
 
     def is_live(self, seq: int) -> bool:
-        return seq in self._live_seqs
+        return seq in self._by_seq
 
     def get(self, seq: int) -> Event | None:
         return self._by_seq.get(seq)
 
     def mark_consumed(self, seq: int) -> None:
-        if seq in self._live_seqs:
+        if seq in self._by_seq:
             self._consumed.add(seq)
 
     def is_consumed(self, seq: int) -> bool:
         return seq in self._consumed
+
+    def since(self, first: int):
+        """Live events from seq ``first`` on, oldest first."""
+        seqs, by_seq = self._seqs, self._by_seq
+        for i in range(bisect_left(seqs, first, self._head), len(seqs)):
+            ev = by_seq.get(seqs[i])
+            if ev is not None:
+                yield ev
 
     def read_after(self, next_seq: int, filt: FilterExpr) -> tuple[Event | None, int]:
         """Earliest live event with ``seq >= next_seq`` matching the filter.
@@ -190,7 +209,7 @@ class EventHistory:
         the end of history, where ``end`` is past every stamped event.
         Cursors only ever move forward.
         """
-        for e in self.live:
-            if e.seq >= next_seq and eval_filter(filt, e):
+        for e in self.since(next_seq):
+            if eval_filter(filt, e):
                 return e, e.seq + 1
         return None, max(next_seq, self._last_seq + 1)

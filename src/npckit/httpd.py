@@ -15,9 +15,10 @@ import queue
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
 
+from .behaviors import request_spec
 from .gateways import Conn
 from .history import NODE_ORIGIN, insert_event, remove_event
-from .model import DOCUMENT, PortSpec, document_entry, port_entry, valid_name
+from .model import DOCUMENT, document_entry, port_entry, valid_name
 
 
 class ReplyConn(Conn):
@@ -86,8 +87,7 @@ def http_request(server, method: str, raw_path: str, body: bytes = b"",
                 return
             pname = server.next_name("req")
             node.attachments[pname] = {"conn": conn}
-            spec = PortSpec("request", {"entry": name})
-            node.post_event(NODE_ORIGIN, insert_event(port_entry(pname, spec)))
+            node.post_event(NODE_ORIGIN, insert_event(port_entry(pname, request_spec(node, name))))
 
         _submit(server, fetch)
         reply = _wait(conn, server, timeout)

@@ -2,8 +2,9 @@
 
 A node is a single sequential process.  Ports post events to it; accepted
 entry events land in the history and are then delivered, one per step, to
-the subscriptions whose effective filter matches.  Delivery walks a ring
-over the subscriptions so that no consumer starves.
+the subscriptions whose effective filter matches.  A filter index routes
+each appended event to the queue of every subscription it matches, and
+delivery walks a ring over the subscriptions so that no consumer starves.
 
 Flow control follows the port protocol: a Receive arms a subscription, a
 Suspend from the port pauses it, a Resume rearms it, and when a subscription
@@ -73,7 +74,7 @@ class Node:
     """
 
     def __init__(self, path: tuple[str, ...] = (), clock=None, max_history: int | None = None,
-                 indexed: bool = False, tracer=None):
+                 tracer=None):
         self.path = path
         self.actor_base = ""
         self.clock = clock or (lambda: 0)
@@ -83,8 +84,7 @@ class Node:
         self.sinks: dict[str, object] = {}
         self.timers: dict[str, TimerSpec] = {}
         self.attachments: dict[str, dict] = {}
-        self.indexed = indexed
-        self.index: FilterIndex | None = FilterIndex() if indexed else None
+        self.index = FilterIndex()
         self.tracer = tracer
         self.on_port_inserted = None
         self.on_port_removed = None
@@ -171,8 +171,6 @@ class Node:
         sub = Subscription(from_port, name, TRUE, cursor=self._initial_cursor(from_port))
         self.subs[key] = sub
         self._ring.append(key)
-        if self.index is not None:
-            self._index_register(sub)
         return sub, True
 
     def _post_receive(self, from_port: str, ev: Event) -> None:
@@ -182,8 +180,7 @@ class Node:
         sub.dyn_filter = ev.filter if ev.filter is not None else TRUE
         sub.flag = True
         sub.at_end_notified = False
-        if self.index is not None:
-            self._index_reregister(sub)
+        self._index(sub)
         self._trace("post", f"Receive {sub.name}", actor=self._port_actor(from_port))
         return None
 
@@ -197,7 +194,9 @@ class Node:
         return None
 
     def _post_resume(self, from_port: str, ev: Event) -> Event | None:
-        sub, _created = self._sub_for(from_port, ev)
+        sub, created = self._sub_for(from_port, ev)
+        if created:
+            self._index(sub)
         sub.flag = True
         self._trace("post", f"Resume {sub.name}", actor=self._port_actor(from_port))
         if self._peek(sub) is None:
@@ -213,8 +212,7 @@ class Node:
         sub = self.subs.pop(key, None)
         if sub is not None:
             self._ring_remove(key)
-            if self.index is not None and key in self.index:
-                self.index.unregister(key)
+            self.index.unregister(key)
         self._trace("post", f"Close {name}", actor=self._port_actor(from_port))
         return self._append(replace(ev, subscription=name))
 
@@ -269,28 +267,21 @@ class Node:
         stamped = self.history.append(ev)
         name = stamped.entry.name if stamped.entry is not None else (stamped.label or stamped.subscription or "")
         self._trace("append", f"{stamped.kind}#{stamped.seq} {name}".rstrip())
-        if self.index is not None:
-            matched = sorted(self.index.match(stamped))
-            self._trace("index", f"{stamped.kind}#{stamped.seq} matched {len(matched)} "
-                                 f"of {len(self.index)} via {len(self.index.candidates(stamped))} candidates")
-            for key in matched:
-                sub = self.subs.get(key)
-                if sub is not None:
-                    sub.pending.append(stamped.seq)
+        for key in self.index.match(stamped):
+            sub = self.subs[key]
+            sub.pending.append(stamped.seq)
+            if len(sub.pending) > 2 * len(self.history):
+                # more than half of the queue is dead: cancelled, aged out
+                sub.pending = deque(seq for seq in sub.pending if self.history.is_live(seq))
         return stamped
 
     # -- port lifecycle ------------------------------------------------------
-
-    def drop_port(self, name: str) -> None:
-        entry = self.entries.get(name)
-        self._drop_port(name, entry)
 
     def _drop_port(self, name: str, entry: Entry | None) -> None:
         for key in [k for k in self.subs if k[0] == name]:
             del self.subs[key]
             self._ring_remove(key)
-            if self.index is not None and key in self.index:
-                self.index.unregister(key)
+            self.index.unregister(key)
         self.sinks.pop(name, None)
         self.attachments.pop(name, None)
         if self.on_port_removed is not None:
@@ -306,30 +297,20 @@ class Node:
             sub = Subscription(port, "default", TRUE, flag=spec.receive_flag, cursor=spec.cursor)
             self.subs[key] = sub
             self._ring.append(key)
-            if self.index is not None:
-                self._index_register(sub)
+            self._index(sub)
         return sub
 
-    # -- index bookkeeping ----------------------------------------------------
-
-    def _index_register(self, sub: Subscription) -> None:
-        self.index.register(sub.key, self._effective(sub))
-        sub.pending = deque(
-            e.seq for e in self.history.live
-            if e.seq >= sub.cursor and eval_filter(self._effective(sub), e)
-        )
-
-    def _index_reregister(self, sub: Subscription) -> None:
+    def _index(self, sub: Subscription) -> None:
+        """(Re)register a subscription's effective filter and queue its
+        backlog from the cursor on: the one scan of the history a
+        subscription makes.  Later events reach the queue through the
+        index as they are appended."""
+        filt = self._effective(sub)
         if sub.key in self.index:
             self.index.unregister(sub.key)
-        self._index_register(sub)
-
-    def reindex_port(self, port: str) -> None:
-        if self.index is None:
-            return
-        for key, sub in self.subs.items():
-            if key[0] == port:
-                self._index_reregister(sub)
+        self.index.register(sub.key, filt)
+        sub.pending = deque(e.seq for e in self.history.since(sub.cursor)
+                            if eval_filter(filt, e))
 
     # -- delivery -------------------------------------------------------------
 
@@ -340,54 +321,26 @@ class Node:
 
     def _peek(self, sub: Subscription) -> Event | None:
         """Next deliverable event for a subscription, without moving state."""
-        if self.index is not None:
-            for seq in sub.pending:
-                if seq < sub.cursor or not self.history.is_live(seq):
-                    continue
-                ev = self.history.get(seq)
-                if not self._skippable(sub, ev):
-                    return ev
-            return None
-        pos = sub.cursor
-        while True:
-            ev, nxt = self.history.read_after(pos, self._effective(sub))
-            if ev is None:
-                return None
-            if self._skippable(sub, ev):
-                pos = nxt
-                continue
-            return ev
+        for seq in sub.pending:
+            ev = self.history.get(seq)
+            if ev is not None and seq >= sub.cursor and not self._skippable(sub, ev):
+                return ev
+        return None
 
     def _take_next(self, sub: Subscription) -> Event | None:
-        """Like _peek but advances the cursor over everything it skips."""
-        if self.index is not None:
-            while sub.pending:
-                seq = sub.pending[0]
-                if seq < sub.cursor or not self.history.is_live(seq):
-                    sub.pending.popleft()
-                    continue
-                ev = self.history.get(seq)
-                if self._skippable(sub, ev):
-                    # keep the cursor in lockstep with scan mode, so a later
-                    # resubscription replays the same events in either mode
-                    sub.pending.popleft()
-                    sub.offered.discard(seq)
-                    sub.cursor = max(sub.cursor, seq + 1)
-                    continue
-                sub.pending.popleft()
-                return ev
-            sub.cursor = max(sub.cursor, self.history.last_seq + 1)
-            return None
-        while True:
-            ev, nxt = self.history.read_after(sub.cursor, self._effective(sub))
-            if ev is None:
-                sub.cursor = max(sub.cursor, nxt)
-                return None
+        """Like _peek but pops the queue up to the event it returns; the
+        caller then moves the cursor past that event."""
+        while sub.pending:
+            seq = sub.pending.popleft()
+            ev = self.history.get(seq)
+            if ev is None or seq < sub.cursor:
+                continue
             if self._skippable(sub, ev):
-                sub.offered.discard(ev.seq)
-                sub.cursor = nxt
+                sub.offered.discard(seq)
                 continue
             return ev
+        sub.cursor = max(sub.cursor, self.history.last_seq + 1)
+        return None
 
     def _ring_remove(self, key) -> None:
         try:

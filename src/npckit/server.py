@@ -40,15 +40,13 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 class ServerConfig:
     def __init__(self, host: str, npc_tcp_port: int = 7070, http_port: int | None = None,
-                 firewall_text: str = "", indexed: bool = False,
-                 max_history: int | None = None, root_name: str = "root",
+                 firewall_text: str = "", max_history: int | None = None, root_name: str = "root",
                  entries: list | None = None, stubs: dict | None = None):
         self.host = host.lower()
         self.npc_tcp_port = npc_tcp_port
         self.http_port = http_port
         self.firewall_text = firewall_text
         self.rules = parse_rules(firewall_text)
-        self.indexed = indexed
         self.max_history = max_history
         self.root_name = root_name
         self.entries = entries or []
@@ -68,8 +66,6 @@ class ServerConfig:
                      f"{path}.http_port", "port number")
         firewall_text = d.get("firewall", "")
         _require(isinstance(firewall_text, str), f"{path}.firewall", "rule text")
-        indexed = d.get("indexed", False)
-        _require(isinstance(indexed, bool), f"{path}.indexed", "true or false")
         max_history = d.get("max_history")
         if max_history is not None:
             _require(isinstance(max_history, int) and max_history >= 1,
@@ -84,7 +80,7 @@ class ServerConfig:
                    for i, e in enumerate(raw_entries)]
         stubs = d.get("stubs", {})
         _require(isinstance(stubs, dict), f"{path}.stubs", "must be an object")
-        return cls(host, port, http_port, firewall_text, indexed, max_history,
+        return cls(host, port, http_port, firewall_text, max_history,
                    root_name, entries, stubs)
 
 
@@ -196,7 +192,7 @@ class Server:
 
     def _make_node(self, path: tuple) -> Node:
         node = Node(path=path, clock=self.clock, max_history=self.config.max_history,
-                    indexed=self.config.indexed, tracer=self.tracer)
+                    tracer=self.tracer)
         node.actor_base = self.config.host
         node.on_port_inserted = lambda entry, n=node: self._spawn_port(n, entry)
         node.on_port_removed = lambda name, entry, n=node: self._stop_port(n, name)

@@ -3,7 +3,9 @@
 Property tests draw from per-test seeded Random instances so a failing run
 reproduces exactly.  The oracles here are deliberately naive: a recursive
 glob matcher and a replay of the cancellation rules, kept simple enough to
-be obviously correct.
+be obviously correct.  ``ScanNode`` finds each delivery by scanning the
+history from the subscription's cursor: the reference for the node's
+queue-fed delivery path.
 """
 
 import random
@@ -15,6 +17,7 @@ from npckit.filters import And, BoolLit, Cmp, Not, Or
 from npckit.history import (CLOSE, INSERT, REMOVE, RESUME, SUSPEND, TIME, Event)
 from npckit.model import (DOCUMENT, NODE, PORT, PortSpec, document_entry,
                           node_entry, port_entry)
+from npckit.node import Node
 
 
 @pytest.fixture
@@ -131,10 +134,12 @@ def glob_oracle(pattern, text):
     return text[0] == head and glob_oracle(rest, text[1:])
 
 
-def replay_live(events):
+def replay_live(events, max_events=None):
     """Reference cancellation: a Remove deletes every earlier live Insert of
     the same entry name, a Close deletes every earlier live Resume by the
-    same port and subscription; everything else just accumulates."""
+    same port and subscription; everything else just accumulates.  With
+    ``max_events``, the oldest live events beyond that many are dropped
+    after each append."""
     live = []
     for ev in events:
         if ev.kind == REMOVE and ev.entry is not None:
@@ -146,4 +151,35 @@ def replay_live(events):
                     if not (e.kind == RESUME and e.origin_port == ev.origin_port
                             and e.subscription == ev.subscription)]
         live.append(ev)
+        if max_events is not None:
+            live = live[-max_events:]
     return live
+
+
+class ScanNode(Node):
+    """A node that ignores its per-subscription queues and finds each
+    delivery by reading the history from the subscription's cursor
+    through the subscription's effective filter."""
+
+    def _peek(self, sub):
+        pos = sub.cursor
+        while True:
+            ev, nxt = self.history.read_after(pos, self._effective(sub))
+            if ev is None:
+                return None
+            if self._skippable(sub, ev):
+                pos = nxt
+                continue
+            return ev
+
+    def _take_next(self, sub):
+        while True:
+            ev, nxt = self.history.read_after(sub.cursor, self._effective(sub))
+            if ev is None:
+                sub.cursor = max(sub.cursor, nxt)
+                return None
+            if self._skippable(sub, ev):
+                sub.offered.discard(ev.seq)
+                sub.cursor = nxt
+                continue
+            return ev

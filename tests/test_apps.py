@@ -1,5 +1,7 @@
 """Every stock application, run end to end in the sim."""
 
+from pathlib import Path
+
 import pytest
 
 from npckit.apps import PRESETS, build_preset, demo_scenario
@@ -22,6 +24,17 @@ def test_every_preset_builds_valid_configs():
 def test_unknown_preset_is_an_error():
     with pytest.raises(KeyError):
         build_preset("time-machine")
+
+
+TRACES = Path(__file__).parent / "traces"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_demo_trace_is_pinned(name):
+    # each preset's demo trace is part of the kit's fixed contract: a
+    # change inside the kit must reproduce it line for line
+    lines = run_scenario(demo_scenario(name)).tracer.lines()
+    assert lines == (TRACES / f"{name}.trace").read_text().split("\n")[:-1]
 
 
 # -- mirror ---------------------------------------------------------------------

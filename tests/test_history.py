@@ -78,31 +78,44 @@ def test_suspend_and_time_are_never_cancelled():
     assert [e.kind for e in h.live] == [SUSPEND, TIME, CLOSE, REMOVE]
 
 
-def test_cancellation_matches_naive_replay(rng):
-    # random append streams, checked against the reference replay
+def rand_stream_event(rng):
     names = ["a", "b", "c"]
     ports = ["p1", "p2"]
     subs = ["s1", "s2"]
+    roll = rng.random()
+    if roll < 0.4:
+        return ins(rng.choice(names), rng.choice(ports))
+    if roll < 0.6:
+        return rem(rng.choice(names), rng.choice(ports))
+    if roll < 0.75:
+        return Event(RESUME, origin_port=rng.choice(ports), subscription=rng.choice(subs))
+    if roll < 0.9:
+        return Event(CLOSE, origin_port=rng.choice(ports), subscription=rng.choice(subs))
+    return time_event("t")
+
+
+def test_cancellation_matches_naive_replay(rng):
+    # random append streams, checked against the reference replay
     for _ in range(300):
         h = EventHistory()
         appended = []
         for _ in range(rng.randrange(1, 25)):
-            roll = rng.random()
-            if roll < 0.4:
-                ev = ins(rng.choice(names), rng.choice(ports))
-            elif roll < 0.6:
-                ev = rem(rng.choice(names), rng.choice(ports))
-            elif roll < 0.75:
-                ev = Event(RESUME, origin_port=rng.choice(ports),
-                           subscription=rng.choice(subs))
-            elif roll < 0.9:
-                ev = Event(CLOSE, origin_port=rng.choice(ports),
-                           subscription=rng.choice(subs))
-            else:
-                ev = time_event("t")
-            appended.append(h.append(ev))
+            appended.append(h.append(rand_stream_event(rng)))
         expected = [e.seq for e in replay_live(appended)]
         assert [e.seq for e in h.live] == expected
+    # a long stream through a short log: retention, and dead seqs
+    # compacted away many times over
+    h = EventHistory(max_events=50)
+    appended = []
+    for i in range(5000):
+        appended.append(h.append(rand_stream_event(rng)))
+        if i % 100 == 0 or i == 4999:
+            expected = replay_live(appended, max_events=50)
+            assert h.live == expected
+            assert h.dropped == len(appended) - len(expected)
+            cursor = rng.randrange(1, h.last_seq + 2)
+            after = [e for e in expected if e.seq >= cursor]
+            assert h.read_after(cursor, TRUE)[0] == (after[0] if after else None)
 
 
 def test_retention_drops_oldest_live_events():

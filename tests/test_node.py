@@ -1,5 +1,7 @@
 """Node delivery protocol: posting, subscriptions, fairness, exclusivity."""
 
+import sys
+
 import pytest
 
 from npckit.filters import FALSE, TRUE, parse_filter
@@ -313,6 +315,14 @@ def test_subscriptions_start_at_the_spec_cursor():
     drain(n)
     names = [e.entry.name for e in sink.got if e.entry is not None]
     assert names == ["new"]
+    # a cursor past the end of history also holds back what is appended
+    # before the history reaches it
+    ahead = add_port(n, "ahead", cursor=n.history.last_seq + 4, input_filter=DOCS)
+    n.post_event("ahead", receive_event())
+    for name in ["early", "early2", "due"]:
+        n.post_event("in", insert_event(doc(name)))
+    drain(n)
+    assert [e.entry.name for e in ahead.got if e.entry is not None] == ["due"]
 
 
 def test_close_of_unknown_subscription_still_appends():
@@ -507,11 +517,11 @@ def test_default_subscription_honors_receive_flag():
 
 
 # ---------------------------------------------------------------------------
-# indexed delivery stays observably identical to scanning
+# queue-fed delivery stays observably identical to scanning the history
 
-def build_random_node(rng, indexed):
+def build_random_node(rng, node_cls, max_history):
     from conftest import rand_filter
-    n = Node(indexed=indexed)
+    n = node_cls(max_history=max_history)
     for i in range(4):
         name = f"p{i}"
         spec = PortSpec("manual", input_filter=rand_filter(rng, depth=2))
@@ -520,14 +530,16 @@ def build_random_node(rng, indexed):
     return n
 
 
-def test_indexed_and_scan_delivery_agree(rng):
+@pytest.mark.parametrize("max_history", [None, 6])
+def test_delivery_agrees_with_scan_reference(rng, max_history):
+    from conftest import ScanNode
     for round_no in range(30):
         seed = rng.randrange(1 << 30)
         import random as _random
         logs = []
-        for indexed in (False, True):
+        for node_cls in (ScanNode, Node):
             r = _random.Random(seed)
-            n = build_random_node(r, indexed)
+            n = build_random_node(r, node_cls, max_history)
             log = []
             for _ in range(25):
                 roll = r.random()
@@ -560,6 +572,100 @@ def test_indexed_and_scan_delivery_agree(rng):
 def rand_filter_for(r):
     from conftest import rand_filter
     return rand_filter(r, depth=2)
+
+
+def test_queue_of_a_paused_subscription_stays_bounded():
+    n = Node(max_history=20)
+    add_port(n, "in")
+    sink = add_port(n, "out")
+    n.post_event("out", receive_event("s", DOCS))
+    n.post_event("out", suspend_event("s"))
+    for i in range(1000):
+        n.post_event("in", insert_event(doc(f"d{i}")))
+    assert len(n.subs[("out", "s")].pending) <= 2 * len(n.history)
+    # resuming delivers exactly the backlog still in the history
+    n.post_event("out", resume_event("s"))
+    drain(n)
+    assert [e.seq for e in sink.got if e.kind == INSERT] == [e.seq for e in n.history.live]
+
+
+# ---------------------------------------------------------------------------
+# cost independent of the history's length
+
+def lines_run(modules, fn):
+    """Run ``fn`` and count the Python lines it executes inside ``modules``:
+    a measure of work that does not depend on the host's speed."""
+    files = {m.__file__ for m in modules}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def node_with_history(size):
+    """A node whose history holds ``size`` document Inserts, three of them
+    of ``target``, and one armed subscription that wants Inserts only."""
+    n = Node()
+    add_port(n, "in")
+    add_port(n, "out")
+    n.post_event("out", receive_event("inserts", parse_filter('event.type == "Insert"')))
+    for i in range(size - 3):
+        n.post_event("in", insert_event(doc(f"d{i}")))
+    for _ in range(3):
+        n.post_event("in", insert_event(doc("target")))
+    return n
+
+
+def test_cancel_read_and_subscribe_work_does_not_grow_with_the_history(monkeypatch):
+    from npckit import filters, history, node as node_module
+    evaluated = []
+    real_eval = filters.eval_filter
+    doc_inserts = parse_filter('event.type == "Insert" and entry.kind == "document"')
+
+    def counting(f, ev):
+        evaluated.append(ev.seq)
+        return real_eval(f, ev)
+
+    costs = {}
+    for size in (1_000, 10_000):
+        n = node_with_history(size)
+        h = n.history
+        # a new subscription evaluates each live event of its backlog once
+        live = [e.seq for e in h.live]
+        with monkeypatch.context() as m:
+            m.setattr(node_module, "eval_filter", counting)
+            n.post_event("out", receive_event("late", doc_inserts))
+        assert evaluated == live
+        evaluated.clear()
+
+        # a Remove evaluates no filter and cancels only that name's Inserts
+        dropped = h.dropped
+        with monkeypatch.context() as m:
+            for module in (filters, history, node_module):
+                m.setattr(module, "eval_filter", counting)
+            remove_cost = lines_run([history, node_module], lambda: n.post_event(
+                NODE_ORIGIN, remove_event(doc("target"))))
+        assert evaluated == []
+        assert h.dropped - dropped == 3
+        assert [e.seq for e in h.live] == [s for s in live if s < live[-3]] + [h.last_seq]
+
+        read_cost = lines_run([history], lambda: h.read_after(h.last_seq - 10, TRUE))
+        costs[size] = (remove_cost, read_cost)
+    assert costs[1_000] == costs[10_000]
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,11 @@ class FakeClient:
         return out
 
 
-def make_server(network=None, host="a", entries=None, stubs=None, firewall="",
-                indexed=False):
+def make_server(network=None, host="a", entries=None, stubs=None, firewall=""):
     cfg = {
         "host": host,
         "npc_tcp_port": 7070,
         "firewall": firewall,
-        "indexed": indexed,
         "root": {"name": "root", "entries": entries or []},
     }
     if stubs:
@@ -131,6 +129,13 @@ def test_config_rejects_nonpositive_cursor():
         ServerConfig.from_dict({"host": "a", "root": {"entries": [
             {"name": "p", "kind": "port", "behavior": "manual", "cursor": 0}]}})
     assert "cursor" in str(e.value)
+
+
+def test_config_still_loads_with_the_retired_indexed_key():
+    # delivery has one path now; older configs may still carry the key
+    for value in (True, False):
+        cfg = ServerConfig.from_dict({"host": "a", "indexed": value})
+        assert not hasattr(cfg, "indexed")
 
 
 def test_config_rejects_bad_firewall():
@@ -354,6 +359,33 @@ def test_admin_fetch_roundtrip_and_cleanup():
     leftovers = [n for n, e in s.root.entries.items() if e.kind == PORT
                  and n.startswith("req-")]
     assert leftovers == []
+
+
+def test_missing_fetch_evaluates_no_backlog_event(monkeypatch):
+    from npckit import filters, history, node
+    from npckit.httpd import http_request
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[ADMIN] + [doc(f"d{i}", "x") for i in range(1000)])
+    client = FakeClient()
+    conn = connect(net, client, s)
+    before = s.root.history.last_seq
+    evaluated = []
+    real_eval = filters.eval_filter
+
+    def counting(f, ev):
+        evaluated.append(ev.seq)
+        return real_eval(f, ev)
+
+    for module in (filters, history, node):
+        monkeypatch.setattr(module, "eval_filter", counting)
+    conn.send({"kind": "cmd", "op": "fetch", "name": "ghost"})
+    s.settle()
+    (reply, _bye) = client.take()
+    assert reply["kind"] == "error" and reply["code"] == "not-found"
+    assert http_request(s, "GET", "/root/ghost")[0] == 404
+    # the request ports read only events appended since they were spawned;
+    # seq 0 is a post not yet stamped, judged by a port's output filter
+    assert evaluated and all(seq == 0 or seq > before for seq in evaluated)
 
 
 def test_admin_query_local_streams_matches():
