@@ -4,8 +4,9 @@ Each behavior is small on purpose; the applications differ mostly in how
 ports are wired and filtered, not in code.  Conventions shared by all of
 them:
 
-- a node-issued Suspend means "you are caught up"; long-lived consumers
-  answer it with Resume so they keep receiving,
+- a node-issued Suspend means "you are caught up"; long-lived consumers set
+  ``resume_on_suspend`` and the port runtime answers it with Resume for
+  them, so they keep receiving,
 - events leaving a node over a channel are tagged with the node's URL in
   ``origin-node`` metadata unless already tagged, so replicas can tell
   copies from originals,
@@ -18,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 
-from .filters import (And, Cmp, FilterError, Not, Or, eval_filter, glob_match,
-                      parse_filter, print_filter)
+from .filters import (And, Cmp, FilterError, FilterExpr, Not, Or, eval_filter,
+                      glob_match, parse_filter, print_filter)
 from .history import (Event, INSERT, NODE_ORIGIN, REMOVE, SUSPEND, TIME,
                       insert_event, remove_event)
 from .model import DOCUMENT, PORT, PortSpec, document_entry, port_entry, validate_entry
@@ -43,6 +44,14 @@ FLAVORS = {
 }
 
 
+def flavor_filter(config: dict) -> FilterExpr:
+    """What a replicating port carries: the events of its ``flavor``
+    (documents by default), narrowed by its optional ``filter``."""
+    f = FLAVORS.get(config.get("flavor", "document"), FLAVORS["document"])
+    extra = config.get("filter")
+    return And(f, parse_filter(extra)) if extra else f
+
+
 def tagged_with_origin(ev: Event, node_url: str) -> Event:
     """Copy of the event whose entry carries origin-node, unless it already
     names where it came from."""
@@ -63,6 +72,55 @@ def _err(conn, code: str, message: str = "") -> None:
     conn.send({"kind": ERROR, "code": code, "message": message})
 
 
+def _post(ctx, conn, ev):
+    """Post ``ev`` through the port and return the stamped event.  None
+    means nothing was recorded; if the node refused the event, ``conn`` has
+    been told why."""
+    try:
+        return ctx.post(ev)
+    except Exception as e:
+        _err(conn, getattr(e, "code", "rejected"), str(e))
+        return None
+
+
+def admit_push(ctx, conn, msg: dict) -> None:
+    """Post a pushed Insert or Remove through the port, whose output filter
+    decides what gets in.  Only a refusal is answered."""
+    try:
+        ev = event_from_json(msg.get("event"))
+    except WireError as e:
+        _err(conn, e.code, str(e))
+        return
+    if ev.kind not in (INSERT, REMOVE):
+        _err(conn, "bad-kind", f"cannot push {ev.kind} events")
+        return
+    _post(ctx, conn, restamped(ev))
+
+
+def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
+    """Answer a pull with the live events after ``after`` that pass both the
+    port's input filter and the pull's own filter.  Pulled events are
+    tagged with this node's URL unless ``tag`` is false."""
+    try:
+        filt = parse_filter(msg.get("filter", "true"))
+    except FilterError as e:
+        _err(conn, e.code, str(e))
+        return
+    after = msg.get("after", 0)
+    max_events = msg.get("max", 256)
+    if not isinstance(after, int) or not isinstance(max_events, int):
+        _err(conn, "malformed", "after and max must be integers")
+        return
+    spec = ctx.spec
+    effective = And(spec.input_filter, filt) if spec is not None else filt
+    events, last, at_end = ctx.node.read_for_pull(after, effective, max_events)
+    if tag:
+        url = ctx.node_url().text()
+        events = [tagged_with_origin(e, url) for e in events]
+    conn.send({"kind": ACK, "events": [event_to_json(e) for e in events],
+               "last": last, "at_end": at_end})
+
+
 # ---------------------------------------------------------------------------
 # admin: the general-purpose channel endpoint
 
@@ -78,56 +136,15 @@ class AdminBehavior(Behavior):
     def on_external(self, conn, msg: dict) -> None:
         kind = msg.get("kind")
         if kind == EVENT:
-            self._on_push(conn, msg)
+            admit_push(self.ctx, conn, msg)
         elif kind == PULL:
-            self._on_pull(conn, msg)
+            serve_pull(self.ctx, conn, msg)
         elif kind == CMD:
             self._on_cmd(conn, msg)
         elif kind in (HELLO, ACK, ERROR, BYE):
             pass
         else:
             _err(conn, "bad-kind", f"unexpected frame kind {kind!r}")
-
-    # pushes
-
-    def _on_push(self, conn, msg: dict) -> None:
-        try:
-            ev = event_from_json(msg.get("event"))
-        except WireError as e:
-            _err(conn, e.code, str(e))
-            return
-        if ev.kind not in (INSERT, REMOVE):
-            _err(conn, "bad-kind", f"cannot push {ev.kind} events")
-            return
-        try:
-            self.ctx.post(restamped(ev))
-        except Exception as e:
-            _err(conn, getattr(e, "code", "rejected"), str(e))
-
-    # pulls
-
-    def _read(self, conn, msg: dict, tag: bool) -> None:
-        try:
-            filt = parse_filter(msg.get("filter", "true"))
-        except FilterError as e:
-            _err(conn, e.code, str(e))
-            return
-        after = msg.get("after", 0)
-        max_events = msg.get("max", 256)
-        if not isinstance(after, int) or not isinstance(max_events, int):
-            _err(conn, "malformed", "after and max must be integers")
-            return
-        spec = self.ctx.spec
-        effective = And(spec.input_filter, filt) if spec is not None else filt
-        events, last, at_end = self.ctx.node.read_for_pull(after, effective, max_events)
-        url = self.ctx.node_url().text()
-        if tag:
-            events = [tagged_with_origin(e, url) for e in events]
-        conn.send({"kind": ACK, "events": [event_to_json(e) for e in events],
-                   "last": last, "at_end": at_end})
-
-    def _on_pull(self, conn, msg: dict) -> None:
-        self._read(conn, msg, tag=True)
 
     # commands
 
@@ -167,10 +184,14 @@ class AdminBehavior(Behavior):
         if entry.kind == PORT and entry.payload.behavior not in BEHAVIORS:
             _err(conn, "unknown-behavior", entry.payload.behavior)
             return
-        try:
-            stamped = self.ctx.post(insert_event(entry))
-        except Exception as e:
-            _err(conn, getattr(e, "code", "rejected"), str(e))
+        server = self.ctx.server
+        faults = server.faults
+        stamped = _post(self.ctx, conn, insert_event(entry))
+        if stamped is None:
+            return
+        if server.faults != faults and entry.name not in self.ctx.node.entries:
+            # the new port faulted and the runtime retired it again
+            _err(conn, "behavior-failed", f"port {entry.name!r} failed and was removed")
             return
         conn.send({"kind": ACK, "seq": stamped.seq})
 
@@ -180,41 +201,38 @@ class AdminBehavior(Behavior):
         if entry is None:
             _err(conn, "not-found", f"no entry {name!r}")
             return
-        try:
-            stamped = self.ctx.post(remove_event(entry))
-        except Exception as e:
-            _err(conn, getattr(e, "code", "rejected"), str(e))
-            return
-        conn.send({"kind": ACK, "seq": stamped.seq if stamped else 0})
+        stamped = _post(self.ctx, conn, remove_event(entry))
+        if stamped is not None:
+            conn.send({"kind": ACK, "seq": stamped.seq})
 
     def _op_history(self, conn, msg: dict) -> None:
-        self._read(conn, msg, tag=False)
+        serve_pull(self.ctx, conn, msg, tag=False)
+
+    def _hand_over(self, conn, port) -> None:
+        """Insert ``port`` with ``conn`` attached.  The port owns the
+        connection from then on and ends it with bye when it retires."""
+        self.ctx.node.attachments[port.name] = {"conn": conn}
+        if _post(self.ctx, conn, insert_event(port)) is None:
+            self.ctx.node.attachments.pop(port.name, None)
 
     def _op_fetch(self, conn, msg: dict) -> None:
-        wanted = msg.get("name", "")
+        """Spawn a request port for the document and hand it this
+        connection: it answers, retires, and closes the connection."""
         name = self.ctx.server.next_name("req")
-        self.ctx.node.attachments[name] = {"conn": conn}
-        try:
-            self.ctx.post(insert_event(port_entry(name, request_spec(self.ctx.node, wanted))))
-        except Exception as e:
-            self.ctx.node.attachments.pop(name, None)
-            _err(conn, getattr(e, "code", "rejected"), str(e))
+        self._hand_over(conn, port_entry(name, request_spec(self.ctx.node,
+                                                            msg.get("name", ""))))
 
     def _op_query(self, conn, msg: dict) -> None:
+        """Spawn a query port and hand it this connection: it streams the
+        results, answers done, retires, and closes the connection."""
         text = msg.get("query")
         if not isinstance(text, str) or not text.strip():
             _err(conn, "bad-query", "query text required")
             return
         mode = self.ctx.config.get("query_mode", "local")
         name = msg.get("name") or self.ctx.server.next_name("query")
-        entry = port_entry(name, PortSpec("query", {"mode": mode}),
-                           meta={"query": text})
-        self.ctx.node.attachments[name] = {"conn": conn}
-        try:
-            self.ctx.post(insert_event(entry))
-        except Exception as e:
-            self.ctx.node.attachments.pop(name, None)
-            _err(conn, getattr(e, "code", "rejected"), str(e))
+        self._hand_over(conn, port_entry(name, PortSpec("query", {"mode": mode}),
+                                         meta={"query": text}))
 
     def _op_abort(self, conn, msg: dict) -> None:
         name = msg.get("name", "")
@@ -222,12 +240,8 @@ class AdminBehavior(Behavior):
         if entry is None or entry.kind != PORT:
             _err(conn, "not-found", f"no port {name!r}")
             return
-        try:
-            self.ctx.post(remove_event(entry))
-        except Exception as e:
-            _err(conn, getattr(e, "code", "rejected"), str(e))
-            return
-        conn.send({"kind": ACK, "aborted": name})
+        if _post(self.ctx, conn, remove_event(entry)) is not None:
+            conn.send({"kind": ACK, "aborted": name})
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +249,8 @@ class AdminBehavior(Behavior):
 
 @behavior("forwarder")
 class ForwarderBehavior(Behavior):
+    resume_on_suspend = True
+
     def __init__(self, ctx):
         super().__init__(ctx)
         self.conn = None
@@ -247,17 +263,9 @@ class ForwarderBehavior(Behavior):
             except Exception:
                 self.target_node = None
 
-    def _flavor_filter(self):
-        flavor = self.ctx.config.get("flavor", "document")
-        f = FLAVORS.get(flavor, FLAVORS["document"])
-        extra = self.ctx.config.get("filter")
-        if extra:
-            f = And(f, parse_filter(extra))
-        return f
-
     def on_start(self) -> None:
         if self.target:
-            self.ctx.receive("default", self._flavor_filter())
+            self.ctx.receive("default", flavor_filter(self.ctx.config))
 
     def _ensure_conn(self):
         if self.conn is not None and not self.conn.closed:
@@ -266,9 +274,6 @@ class ForwarderBehavior(Behavior):
         return self.conn
 
     def on_event(self, ev, subscription: str) -> bool:
-        if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self.ctx.resume(subscription)
-            return False
         if ev.kind not in (INSERT, REMOVE) or not self.target:
             return False
         if (ev.kind == INSERT and self.target_node and ev.entry is not None
@@ -288,42 +293,17 @@ class ForwarderBehavior(Behavior):
     def on_external(self, conn, msg: dict) -> None:
         kind = msg.get("kind")
         if kind == PULL:
-            self._serve_pull(conn, msg)
+            serve_pull(self.ctx, conn, msg)
         elif kind == BYE:
             if conn is self.conn:
                 self.conn = None
         elif kind == ERROR:
             self.ctx.trace("peer-error", f"{msg.get('code')}: {msg.get('message', '')}")
 
-    def _serve_pull(self, conn, msg: dict) -> None:
-        try:
-            filt = parse_filter(msg.get("filter", "true"))
-        except FilterError as e:
-            _err(conn, e.code, str(e))
-            return
-        after = msg.get("after", 0)
-        max_events = msg.get("max", 256)
-        if not isinstance(after, int) or not isinstance(max_events, int):
-            _err(conn, "malformed", "after and max must be integers")
-            return
-        spec = self.ctx.spec
-        effective = And(spec.input_filter, filt) if spec is not None else filt
-        events, last, at_end = self.ctx.node.read_for_pull(after, effective, max_events)
-        url = self.ctx.node_url().text()
-        events = [tagged_with_origin(e, url) for e in events]
-        conn.send({"kind": ACK, "events": [event_to_json(e) for e in events],
-                   "last": last, "at_end": at_end})
 
-    def on_stop(self, reason: str) -> None:
-        if self.conn is not None:
-            self.ctx.close_conn(self.conn)
-            self.conn = None
-
-
-@behavior("classifier")
-class ClassifierBehavior(ForwarderBehavior):
-    """Forwarder whose input filter routes one class of documents, used to
-    fan a feed out into per-topic subnodes."""
+# a classifier is a forwarder whose input filter routes one class of
+# documents, used to fan a feed out into per-topic subnodes
+BEHAVIORS["classifier"] = ForwarderBehavior
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +311,23 @@ class ClassifierBehavior(ForwarderBehavior):
 
 @behavior("puller")
 class PullerBehavior(Behavior):
+    resume_on_suspend = True
+
     def __init__(self, ctx):
         super().__init__(ctx)
         self.conn = None
-        self.cursor = int(self.ctx.config.get("after", "0"))
         self.label = self.ctx.config.get("label") or f"pull-{self.ctx.name}"
 
     def on_start(self) -> None:
-        every = int(self.ctx.config.get("every", "1"))
-        self.ctx.schedule(self.label, every=every)
+        config = self.ctx.config
+        self.cursor = int(config.get("after", "0"))
+        self.max_events = int(config.get("max", "256"))
+        self.filter_text = print_filter(flavor_filter(config))
+        self.ctx.schedule(self.label, every=int(config.get("every", "1")))
         self.ctx.receive("default", And(_type_is(TIME),
                                         Cmp("event.label", "==", self.label)))
 
-    def _flavor_text(self) -> str:
-        flavor = self.ctx.config.get("flavor", "document")
-        f = FLAVORS.get(flavor, FLAVORS["document"])
-        extra = self.ctx.config.get("filter")
-        if extra:
-            f = And(f, parse_filter(extra))
-        return print_filter(f)
-
     def on_event(self, ev, subscription: str) -> bool:
-        if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self.ctx.resume(subscription)
-            return False
         if ev.kind == TIME:
             self._pull()
         return False
@@ -366,8 +339,7 @@ class PullerBehavior(Behavior):
             self.ctx.trace("drop", "source unreachable")
             return
         self.ctx.send(self.conn, {"kind": PULL, "after": self.cursor,
-                                  "filter": self._flavor_text(),
-                                  "max": int(self.ctx.config.get("max", "256"))})
+                                  "filter": self.filter_text, "max": self.max_events})
 
     def on_external(self, conn, msg: dict) -> None:
         kind = msg.get("kind")
@@ -394,11 +366,6 @@ class PullerBehavior(Behavior):
         elif kind == BYE:
             if conn is self.conn:
                 self.conn = None
-
-    def on_stop(self, reason: str) -> None:
-        if self.conn is not None:
-            self.ctx.close_conn(self.conn)
-            self.conn = None
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +455,8 @@ class QueryBehavior(Behavior):
     and this port streams them out, cleaning up as it goes.  The query is
     complete when every wrapper has retired."""
 
+    resume_on_suspend = True
+
     def __init__(self, ctx):
         super().__init__(ctx)
         self.conn = self.ctx.attachment.get("conn")
@@ -552,9 +521,6 @@ class QueryBehavior(Behavior):
             self._finish()
 
     def on_event(self, ev, subscription: str) -> bool:
-        if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self.ctx.resume(subscription)
-            return False
         if subscription == "results" and ev.kind == INSERT and ev.entry is not None:
             # two sources can hold the same document; the caller sees it once
             ident = ev.entry.meta.get("source-name", ev.entry.name)
@@ -616,15 +582,14 @@ class TranslatorBehavior(Behavior):
     ``accept`` is a glob over the raw query text; a translator that does
     not match stays silent and some other translator may still serve it."""
 
+    resume_on_suspend = True
+
     def on_start(self) -> None:
         has_query = Not(Cmp("meta.query", "==", ""))
         self.ctx.receive("default", And(_type_is(INSERT),
                                         And(_kind_is(PORT), has_query)))
 
     def on_event(self, ev, subscription: str) -> bool:
-        if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self.ctx.resume(subscription)
-            return False
         if ev.kind != INSERT or ev.entry is None:
             return False
         query = ev.entry.meta.get("query", "")
@@ -657,9 +622,10 @@ class WrapperBehavior(Behavior):
         self.query = self.ctx.config.get("query", "true")
         self.reply_to = self.ctx.config.get("reply_to", "")
 
-    def step(self) -> bool:
-        if self.done:
-            return False
+    def on_start(self) -> None:
+        self.ctx.defer("run")
+
+    def run(self) -> None:
         self.done = True
         stub = self.ctx.stub(self.source)
         results = []
@@ -679,7 +645,6 @@ class WrapperBehavior(Behavior):
             except Exception:
                 self.ctx.trace("rejected", doc.name)
         self.ctx.self_remove()
-        return True
 
     def on_stop(self, reason: str) -> None:
         if not self.done:
@@ -700,6 +665,8 @@ class SubscriberBehavior(Behavior):
     What "matching" means is entirely the port's input filter; this code
     only turns deliveries into mail."""
 
+    resume_on_suspend = True
+
     def __init__(self, ctx):
         super().__init__(ctx)
         self.buffer: list[str] = []
@@ -719,9 +686,6 @@ class SubscriberBehavior(Behavior):
         stub.send_mail(self.ctx.config.get("address", ""), subject, body)
 
     def on_event(self, ev, subscription: str) -> bool:
-        if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self.ctx.resume(subscription)
-            return False
         if subscription == "docs" and ev.kind == INSERT and ev.entry is not None:
             body = ev.entry.payload.content.decode("utf-8", errors="replace")
             if self.ctx.config.get("digest", ""):
@@ -748,6 +712,8 @@ class SubscriberManagerBehavior(Behavior):
     or unsubscribe, plus ``address``) into subscriber ports and back.  Role
     ``submit`` is a channel endpoint that only lets document events in."""
 
+    resume_on_suspend = True
+
     def on_start(self) -> None:
         if self.ctx.config.get("role", "manage") == "manage":
             has_request = Not(Cmp("meta.request", "==", ""))
@@ -758,9 +724,6 @@ class SubscriberManagerBehavior(Behavior):
         return "member-" + _safe_name(address)
 
     def on_event(self, ev, subscription: str) -> bool:
-        if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self.ctx.resume(subscription)
-            return False
         if ev.kind != INSERT or ev.entry is None:
             return False
         request = ev.entry.meta.get("request", "")
@@ -793,18 +756,7 @@ class SubscriberManagerBehavior(Behavior):
             return
         kind = msg.get("kind")
         if kind == EVENT:
-            try:
-                ev = event_from_json(msg.get("event"))
-            except WireError as e:
-                _err(conn, e.code, str(e))
-                return
-            if ev.kind not in (INSERT, REMOVE):
-                _err(conn, "bad-kind", f"cannot push {ev.kind} events")
-                return
-            try:
-                self.ctx.post(restamped(ev))
-            except Exception as e:
-                _err(conn, getattr(e, "code", "rejected"), str(e))
+            admit_push(self.ctx, conn, msg)
         elif kind in (HELLO, ACK, ERROR, BYE):
             pass
         else:
@@ -814,6 +766,8 @@ class SubscriberManagerBehavior(Behavior):
 @behavior("gc")
 class GcBehavior(Behavior):
     """Removes documents that have outlived ``max_age`` clock units."""
+
+    resume_on_suspend = True
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -828,9 +782,6 @@ class GcBehavior(Behavior):
                                       Cmp("event.label", "==", self.label)))
 
     def on_event(self, ev, subscription: str) -> bool:
-        if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self.ctx.resume(subscription)
-            return False
         if subscription == "watch" and ev.kind == INSERT and ev.entry is not None:
             self.ages[ev.entry.name] = ev.created_at
         elif subscription == "ticks" and ev.kind == TIME:

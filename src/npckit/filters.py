@@ -369,51 +369,6 @@ def eval_filter(e: FilterExpr, ev) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# plain port detection
-
-def _flatten_and(e: FilterExpr) -> list[FilterExpr]:
-    if isinstance(e, And):
-        return _flatten_and(e.left) + _flatten_and(e.right)
-    return [e]
-
-
-def _is_doc_type_atom(e: FilterExpr) -> bool:
-    if isinstance(e, Cmp):
-        return e.field == "event.type" and e.op == "==" and e.literal in ("Insert", "Remove")
-    if isinstance(e, Or):
-        return _is_doc_type_atom(e.left) and _is_doc_type_atom(e.right)
-    return False
-
-
-def _is_doc_kind_atom(e: FilterExpr) -> bool:
-    if isinstance(e, Cmp):
-        return e.field == "entry.kind" and e.op == "==" and e.literal == "document"
-    if isinstance(e, Or):
-        return _is_doc_kind_atom(e.left) and _is_doc_kind_atom(e.right)
-    return False
-
-
-def _contained_in_plain(e: FilterExpr) -> bool:
-    conj = _flatten_and(e)
-    if any(c == FALSE for c in conj):
-        return True  # admits nothing, trivially contained
-    return any(_is_doc_type_atom(c) for c in conj) and any(_is_doc_kind_atom(c) for c in conj)
-
-
-def is_plain(spec) -> bool:
-    """Conservative syntactic check that a port can only see and produce
-    Insert or Remove events for document entries.
-
-    Containment is structural: each filter must be a conjunction carrying an
-    ``event.type`` atom restricted to Insert or Remove and an
-    ``entry.kind == "document"`` atom (a literal ``false`` branch counts,
-    since it admits nothing).  Filters that are semantically contained but
-    written differently are reported as not plain.
-    """
-    return _contained_in_plain(spec.input_filter) and _contained_in_plain(spec.output_filter)
-
-
-# ---------------------------------------------------------------------------
 # filter index
 
 def filter_event_types(e: FilterExpr) -> set[str] | None:

@@ -355,13 +355,6 @@ class Node:
         else:
             self._next = 0
 
-    def _advance_ring_past(self, key) -> None:
-        try:
-            idx = self._ring.index(key)
-        except ValueError:
-            return
-        self._next = (idx + 1) % len(self._ring)
-
     def deliver_step(self) -> Delivered | None:
         """Deliver at most one event to the next ready subscription in ring
         order; returns None when no subscription is ready.
@@ -372,19 +365,21 @@ class Node:
         actually delivered, so an idle pair of ports cannot ping-pong
         Suspend and Resume forever.
         """
-        ring = list(self._ring)
+        # the ring is walked in place: nothing below changes it before the
+        # sink, and the walk ends there
+        ring = self._ring
         n = len(ring)
         for i in range(n):
-            key = ring[(self._next + i) % n]
-            sub = self.subs.get(key)
-            if sub is None or not sub.flag:
+            at = (self._next + i) % n
+            sub = self.subs[ring[at]]
+            if not sub.flag:
                 continue
             ev = self._take_next(sub)
             if ev is not None:
                 sub.cursor = max(sub.cursor, ev.seq + 1)
                 if ev.kind in (INSERT, REMOVE, TIME):
                     sub.at_end_notified = False
-                self._advance_ring_past(key)
+                self._next = (at + 1) % n
                 self._trace("deliver", f"{ev.kind}#{ev.seq} -> {sub.name}",
                             actor=self._port_actor(sub.port))
                 consumed = self._sink(sub.port, ev, sub.name)
@@ -395,7 +390,7 @@ class Node:
                 sub.flag = False
                 sub.at_end_notified = True
                 notice = Event(SUSPEND, origin_port=NODE_ORIGIN, subscription=sub.name)
-                self._advance_ring_past(key)
+                self._next = (at + 1) % n
                 self._trace("deliver", f"Suspend@node -> {sub.name}",
                             actor=self._port_actor(sub.port))
                 self._sink(sub.port, notice, sub.name)

@@ -5,13 +5,17 @@ PortContext and never touches other ports or nodes directly; anything
 remote goes through a dialed connection, anything local through posted
 events.  Behaviors are registered under the identifier used in port specs,
 so a port entry fully describes how to run the port.
+
+The server enters behavior code at one place, ``Server._hook``: every
+hook and every piece of deferred work runs there.  A hook that raises is
+traced as a ``fault`` and its port retired, so a buggy behavior cannot
+stop the server.
 """
 
 from __future__ import annotations
 
 from .filters import FilterExpr
-from .history import (NODE_ORIGIN, close_event, receive_event, remove_event,
-                      resume_event, suspend_event)
+from .history import NODE_ORIGIN, close_event, receive_event, remove_event, resume_event
 from .model import EntryUrl
 
 
@@ -42,9 +46,6 @@ class PortContext:
     def node_url(self) -> EntryUrl:
         return self.server.url_for(self.node)
 
-    def url_of(self, entry_name: str) -> EntryUrl:
-        return self.node_url().child(entry_name)
-
     def now(self) -> int:
         return self.server.clock()
 
@@ -55,9 +56,6 @@ class PortContext:
 
     def receive(self, subscription: str = "default", filt: FilterExpr | None = None):
         return self.post(receive_event(subscription, filt))
-
-    def suspend(self, subscription: str = "default"):
-        return self.post(suspend_event(subscription))
 
     def resume(self, subscription: str = "default"):
         return self.post(resume_event(subscription))
@@ -81,6 +79,11 @@ class PortContext:
         from .node import TimerSpec
         self.node.schedule(TimerSpec(label, every=every, at=at), now=self.now())
 
+    def defer(self, method: str) -> None:
+        """Run this port's ``method`` once from the driving loop, after the
+        deliveries that are due, unless the port is retired by then."""
+        self.server.defer((self.node.path, self.name), method)
+
     # -- the outside world -------------------------------------------------------
 
     def dial(self, url_text: str):
@@ -92,9 +95,6 @@ class PortContext:
         self.trace("send", f"{msg.get('kind')} -> {conn.label}")
         return ok
 
-    def close_conn(self, conn) -> None:
-        self.server.release_conn(conn)
-
     def stub(self, name: str):
         return self.server.stub(name, requester=self.name)
 
@@ -104,7 +104,15 @@ class PortContext:
 
 
 class Behavior:
-    """Base class: a port that never reacts to anything."""
+    """Base class: a port that never reacts to anything.
+
+    The constructor only stores; reading the config and anything else that
+    can fail belongs in ``on_start``, where a failure retires the port."""
+
+    # A node-issued Suspend means "caught up".  When true, the runtime
+    # answers it with a Resume of that subscription instead of delivering
+    # it, so a long-lived consumer keeps receiving.
+    resume_on_suspend = False
 
     def __init__(self, ctx: PortContext):
         self.ctx = ctx
@@ -122,10 +130,6 @@ class Behavior:
 
     def on_stop(self, reason: str) -> None:
         pass
-
-    def step(self) -> bool:
-        """One slice of autonomous work; True when something was done."""
-        return False
 
 
 BEHAVIORS: dict[str, type] = {}

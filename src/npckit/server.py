@@ -13,11 +13,12 @@ import base64
 import queue
 import threading
 import time
+from functools import partial
 
 from .filters import FilterError, parse_filter
 from .firewall import IN, OUT, FirewallError, check, parse_rules
 from .gateways import MailStub, RepoStub, dial_tcp
-from .history import NODE_ORIGIN, insert_event
+from .history import NODE_ORIGIN, SUSPEND, insert_event
 from .model import (DOCUMENT, Entry, EntryUrl, NODE, PORT, PortSpec, UrlError,
                     document_entry, node_entry, parse_url, port_entry,
                     valid_name)
@@ -148,12 +149,13 @@ class Server:
         self.tracer = tracer
         self.nodes: dict[tuple, Node] = {}
         self.behaviors: dict[tuple, object] = {}
-        self._behavior_order: list[tuple] = []
+        self._deferred: list[tuple] = []
+        self.faults = 0
         self.inbound: queue.Queue = queue.Queue()
         self.conns: dict[int, object] = {}
         self.stubs: dict[str, object] = {}
         self._query_counter = 0
-        self._node_ring: list[tuple] = []
+        self._node_ring: list[Node] = []
         self._node_next = 0
         self.listener = None
         self.httpd = None
@@ -198,7 +200,7 @@ class Server:
         node.on_port_removed = lambda name, entry, n=node: self._stop_port(n, name)
         node.on_node_inserted = lambda entry, n=node: self._bind_subnode(n, entry)
         self.nodes[path] = node
-        self._node_ring.append(path)
+        self._node_ring.append(node)
         return node
 
     def _boot(self) -> None:
@@ -240,27 +242,51 @@ class Server:
                                         f"unknown behavior {entry.payload.behavior!r}")
             return
         attachment = node.attachments.pop(entry.name, None)
-        ctx = PortContext(self, node, entry.name, attachment)
-        b = cls(ctx)
+        b = cls(PortContext(self, node, entry.name, attachment))
         key = (node.path, entry.name)
         self.behaviors[key] = b
-        self._behavior_order.append(key)
-        node.sinks[entry.name] = b.on_event
+        node.sinks[entry.name] = partial(self._hook, b, "on_event")
         if entry.payload.receive_flag:
             node.create_default_subscription(entry.name, entry.payload)
         if attachment and "conn" in attachment:
             attachment["conn"].owner = key
-        b.on_start()
+        self._hook(b, "on_start")
 
     def _stop_port(self, node: Node, name: str) -> None:
         key = (node.path, name)
         b = self.behaviors.pop(key, None)
-        if key in self._behavior_order:
-            self._behavior_order.remove(key)
         if b is not None:
-            b.on_stop("removed")
+            self._hook(b, "on_stop", "removed")
         for conn in [c for c in self.conns.values() if c.owner == key]:
             self.release_conn(conn)
+
+    def _hook(self, b, hook: str, *args):
+        """Run ``b``'s method ``hook``: the one way into behavior code.
+
+        A node-issued Suspend goes no further for classes that set
+        ``resume_on_suspend``; the port is resumed instead.  A hook that
+        raises is traced as a ``fault`` and its port retired with a
+        node-issued Remove, so mirrors see it go, and its traceback goes to
+        stderr.  A port that faults in ``on_stop`` is not retired again:
+        it is already on its way out."""
+        try:
+            if hook == "on_event" and b.resume_on_suspend:
+                ev, subscription = args
+                if ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
+                    b.ctx.resume(subscription)
+                    return False
+            return getattr(b, hook)(*args)
+        except Exception as e:
+            self.faults += 1
+            b.ctx.trace("fault", f"{hook}: {type(e).__name__}: {e}")
+            import traceback
+            traceback.print_exc()
+            if hook != "on_stop":
+                b.ctx.self_remove()
+            return None
+
+    def defer(self, key: tuple, method: str) -> None:
+        self._deferred.append((key, self.behaviors[key], method))
 
     def behavior_at(self, path: tuple, name: str):
         return self.behaviors.get((path, name))
@@ -326,9 +352,6 @@ class Server:
         self.conns.pop(conn.id, None)
         conn.close()
 
-    def transfer_conn(self, conn, path: tuple, port_name: str) -> None:
-        conn.owner = (path, port_name)
-
     def stub(self, name: str, requester: str = ""):
         s = self.stubs.get(name)
         if s is None:
@@ -382,7 +405,7 @@ class Server:
             conn.send({"kind": ERROR, "code": "not-found",
                        "message": "owning port is gone"})
             return
-        b.on_external(conn, msg)
+        self._hook(b, "on_external", conn, msg)
 
     def _handle_hello(self, conn, msg: dict) -> None:
         target = msg.get("target")
@@ -412,22 +435,21 @@ class Server:
         if conn.owner is not None:
             b = self.behaviors.get(conn.owner)
             if b is not None:
-                b.on_external(conn, {"kind": BYE})
+                self._hook(b, "on_external", conn, {"kind": BYE})
         self.conns.pop(conn.id, None)
 
     # -- driving ------------------------------------------------------------------------
 
     def deliver_step(self) -> bool:
         """One delivery somewhere in the tree, fair across nodes."""
-        ring = list(self._node_ring)
+        # nodes are only ever appended, so a delivery that builds a subnode
+        # leaves the first n places as they were
+        ring = self._node_ring
         n = len(ring)
         for i in range(n):
-            path = ring[(self._node_next + i) % n]
-            node = self.nodes.get(path)
-            if node is None:
-                continue
-            if node.deliver_step() is not None:
-                self._node_next = (ring.index(path) + 1) % n
+            at = (self._node_next + i) % n
+            if ring[at].deliver_step() is not None:
+                self._node_next = (at + 1) % n
                 return True
         return False
 
@@ -438,12 +460,15 @@ class Server:
         return steps
 
     def step_behaviors(self) -> int:
-        did = 0
-        for key in list(self._behavior_order):
-            b = self.behaviors.get(key)
-            if b is not None and b.step():
-                did += 1
-        return did
+        """Run the work ports deferred, in the order they deferred it, and
+        return how much ran; work of a port retired since is dropped."""
+        work, self._deferred = self._deferred, []
+        ran = 0
+        for key, b, method in work:
+            if self.behaviors.get(key) is b:
+                self._hook(b, method)
+                ran += 1
+        return ran
 
     def tick_timers(self, now: int | None = None) -> int:
         t = self.clock() if now is None else now

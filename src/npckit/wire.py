@@ -13,7 +13,7 @@ import base64
 import json
 import struct
 
-from .filters import FilterExpr, TRUE, parse_filter, print_filter
+from .filters import parse_filter, print_filter
 from .history import Event, KINDS
 from .model import (DOCUMENT, Document, Entry, NODE, NodeRef, PORT, PortSpec,
                     valid_name)
@@ -129,10 +129,6 @@ def error_frame(code: str, message: str = "") -> bytes:
 
 # ---------------------------------------------------------------------------
 # object codecs
-
-def filter_to_text(f: FilterExpr | None) -> str:
-    return print_filter(f if f is not None else TRUE)
-
 
 def entry_to_json(entry: Entry) -> dict:
     out: dict = {"name": entry.name, "kind": entry.kind, "meta": dict(entry.meta)}

@@ -1,14 +1,14 @@
-"""Filter language: parsing, printing, evaluation, plainness, indexing."""
+"""Filter language: parsing, printing, evaluation, indexing."""
 
 import pytest
 
 from conftest import (glob_oracle, loose_text, rand_event, rand_filter)
 from npckit.filters import (And, BoolLit, Cmp, FALSE, FilterError, FilterIndex,
                             FilterIndexError, Not, Or, TRUE, eval_filter,
-                            filter_event_types, glob_match, is_plain,
+                            filter_event_types, glob_match,
                             parse_filter, print_filter)
 from npckit.history import Event, INSERT, TIME
-from npckit.model import PortSpec, document_entry
+from npckit.model import document_entry
 
 
 def ev_insert(name="doc1", kind_override=None, meta=None, origin="in"):
@@ -184,60 +184,6 @@ def test_glob_star_crosses_anything():
     assert glob_match("*", "a.b/c\nd")
     assert not glob_match("?", "")
     assert glob_match("??", "ab")
-
-
-# ---------------------------------------------------------------------------
-# plain ports
-
-def plain_doc_filter():
-    return parse_filter('(event.type == "Insert" or event.type == "Remove") '
-                        'and entry.kind == "document"')
-
-
-def test_is_plain_document_only_port():
-    spec = PortSpec("manual", input_filter=plain_doc_filter(),
-                    output_filter=plain_doc_filter())
-    assert is_plain(spec)
-
-
-def test_is_plain_false_branch_admits_nothing():
-    spec = PortSpec("manual", input_filter=FALSE, output_filter=plain_doc_filter())
-    assert is_plain(spec)
-    spec = PortSpec("manual", input_filter=plain_doc_filter(), output_filter=FALSE)
-    assert is_plain(spec)
-
-
-def test_is_plain_rejects_unrestricted_ports():
-    assert not is_plain(PortSpec("manual"))
-    spec = PortSpec("manual", input_filter=plain_doc_filter(), output_filter=TRUE)
-    assert not is_plain(spec)
-
-
-def test_is_plain_rejects_port_entry_visibility():
-    f = parse_filter('event.type == "Insert" and entry.kind == "port"')
-    spec = PortSpec("manual", input_filter=f, output_filter=FALSE)
-    assert not is_plain(spec)
-
-
-def test_is_plain_rejects_flow_event_visibility():
-    f = parse_filter('event.type == "Resume" and entry.kind == "document"')
-    spec = PortSpec("manual", input_filter=f, output_filter=FALSE)
-    assert not is_plain(spec)
-
-
-def test_is_plain_is_conservative_about_rewrites():
-    # semantically equivalent to the plain shape, but written with not:
-    # the structural check does not chase it
-    f = parse_filter('not event.type != "Insert" and entry.kind == "document"')
-    spec = PortSpec("manual", input_filter=f, output_filter=FALSE)
-    assert not is_plain(spec)
-
-
-def test_is_plain_extra_conjuncts_keep_plainness():
-    f = parse_filter('event.type == "Insert" and entry.kind == "document" '
-                     'and meta.topic == "news"')
-    spec = PortSpec("manual", input_filter=f, output_filter=FALSE)
-    assert is_plain(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,172 @@
+"""The behavior runtime: one choke point into behavior code, fault isolation."""
+
+import ast
+import pathlib
+import time
+
+import pytest
+
+from npckit.cli import NpcClient
+from npckit.history import NODE_ORIGIN, REMOVE
+from npckit.model import PortSpec, port_entry
+from npckit.ports import BEHAVIORS, Behavior
+from npckit.server import Server, ServerConfig
+from npckit.sim import SimRun
+from npckit.wire import entry_to_json
+
+ADMIN = {"name": "admin", "kind": "port", "behavior": "admin"}
+HOOKS = {"on_start", "on_event", "on_external", "on_stop"}
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "npckit"
+
+
+def admin_run() -> SimRun:
+    run = SimRun()
+    run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [ADMIN]}})
+    run.quiesce()
+    run.connect("c", "npc://a:7070/root/admin")
+    run.take_replies("c")
+    return run
+
+
+def insert_port(name: str, behavior: str, config: dict) -> dict:
+    entry = port_entry(name, PortSpec(behavior, config))
+    return {"kind": "cmd", "op": "insert", "entry": entry_to_json(entry)}
+
+
+def listed(replies: list) -> list:
+    acks = [r for r in replies if r["kind"] == "ack" and "entries" in r]
+    assert acks, replies
+    return [e["name"] for e in acks[-1]["entries"]]
+
+
+def retired_by_node(run: SimRun, name: str) -> bool:
+    """The port's last word in the history is a node-issued Remove."""
+    last = [e for e in run.server("a").root.history.live
+            if e.entry is not None and e.entry.name == name][-1]
+    return last.kind == REMOVE and last.origin_port == NODE_ORIGIN
+
+
+def test_faulting_event_hook_retires_the_port_and_the_server_answers_on():
+    run = admin_run()
+    run.send("c", insert_port("gc1", "gc", {"every": "1", "max_age": "x"}))
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    run.tick(1)
+    faults = [line for line in run.tracer.lines() if "\tfault\t" in line]
+    assert len(faults) == 1 and "gc1" in faults[0] and "on_event" in faults[0]
+    assert "gc1" not in run.server("a").root.entries
+    assert retired_by_node(run, "gc1")
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert listed(run.take_replies("c")) == ["admin"]
+
+
+def test_failed_spawn_answers_an_error_and_leaves_no_port():
+    run = admin_run()
+    server = run.server("a")
+    start = len(run.tracer.rows)
+    run.send("c", insert_port("gc1", "gc", {"every": "abc"}))
+    reply = run.take_replies("c")[0]
+    assert reply["kind"] == "error" and reply["code"] == "behavior-failed", reply
+    assert "gc1" not in server.root.entries
+    assert (("root",), "gc1") not in server.behaviors
+    appends = [line.split("\t")[3] for line in run.tracer.lines()[start:]
+               if line.split("\t")[2] == "append"]
+    assert [a.split("#")[0] for a in appends] == ["Insert", "Remove"]
+    assert retired_by_node(run, "gc1")
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert listed(run.take_replies("c")) == ["admin"]
+
+
+class Faulty(Behavior):
+    """Raises from the hook its ``fail`` config names; ``run`` is the
+    deferred work it queues at start."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        # kept now: the config is gone with the entry by on_stop
+        self.fail = ctx.config.get("fail")
+
+    def _maybe_fail(self, hook: str) -> None:
+        if self.fail == hook:
+            raise RuntimeError(f"boom in {hook}")
+
+    def on_start(self) -> None:
+        self.ctx.receive("default")
+        self.ctx.defer("run")
+        self._maybe_fail("on_start")
+
+    def on_event(self, ev, subscription: str) -> bool:
+        self._maybe_fail("on_event")
+        return False
+
+    def on_external(self, conn, msg: dict) -> None:
+        self._maybe_fail("on_external")
+
+    def run(self) -> None:
+        self._maybe_fail("run")
+
+    def on_stop(self, reason: str) -> None:
+        self._maybe_fail("on_stop")
+
+
+@pytest.mark.parametrize("hook", ["on_start", "on_event", "on_external", "run", "on_stop"])
+def test_every_hook_is_fault_isolated(monkeypatch, hook):
+    monkeypatch.setitem(BEHAVIORS, "faulty", Faulty)
+    run = admin_run()
+    server = run.server("a")
+    run.send("c", insert_port("f", "faulty", {"fail": hook}))
+    run.connect("f", "npc://a:7070/root/f")
+    run.send("f", {"kind": "cmd", "op": "anything"})
+    run.send("c", {"kind": "cmd", "op": "remove", "name": "f"})
+    faults = [line for line in run.tracer.lines() if "\tfault\t" in line]
+    assert len(faults) == 1 and faults[0].split("\t")[1] == "a/root:f"
+    assert f"\t{hook}: RuntimeError: boom in {hook}" in faults[0]
+    assert "f" not in server.root.entries
+    assert (("root",), "f") not in server.behaviors
+    # one Remove only: a port faulting in on_stop is not retired twice
+    removes = [e for e in server.root.history.live
+               if e.kind == REMOVE and e.entry.name == "f"]
+    assert len(removes) == 1
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert listed(run.take_replies("c")) == ["admin"]
+
+
+def test_driver_survives_a_faulting_behavior_over_tcp():
+    config = {"host": "127.0.0.1", "npc_tcp_port": 0, "root": {"entries": [ADMIN]}}
+    server = Server(ServerConfig.from_dict(config), real=True)
+    server.start()
+    try:
+        client = NpcClient(f"npc://127.0.0.1:{server.advertised_port}/root/admin",
+                           timeout=5)
+        try:
+            reply = client.roundtrip(insert_port("gc1", "gc", {"every": "1", "max_age": "x"}))
+            assert reply["kind"] == "ack", reply
+            # the first tick of the gc port's timer raises in its on_event
+            deadline = time.monotonic() + 5
+            while "gc1" in listed([client.roundtrip({"kind": "cmd", "op": "list"})]):
+                assert time.monotonic() < deadline, "faulting port was not retired"
+                time.sleep(0.01)
+            assert server._driver.is_alive()
+            assert listed([client.roundtrip({"kind": "cmd", "op": "list"})]) == ["admin"]
+        finally:
+            client.close()
+    finally:
+        server.stop()
+    assert not server._driver.is_alive()
+
+
+def test_behavior_hooks_are_entered_only_through_the_server_choke_point():
+    """A direct call, or a bound hook handed out, would bypass fault
+    handling; only ``Server._hook`` may touch the hooks."""
+    bypasses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Server"):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_hook":
+                    allowed.update(id(n) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in HOOKS
+                    and id(node) not in allowed):
+                bypasses.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert bypasses == []
