@@ -19,11 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 
-from .filters import (And, Cmp, FilterError, FilterExpr, Not, Or, eval_filter,
-                      glob_match, parse_filter, print_filter)
+from .filters import (And, Cmp, FilterError, FilterExpr, Not, Or, access_predicate,
+                      eval_filter, glob_match, parse_filter, print_filter)
 from .history import (Event, INSERT, NODE_ORIGIN, REMOVE, SUSPEND, TIME,
                       insert_event, remove_event)
-from .model import DOCUMENT, PORT, PortSpec, document_entry, port_entry, validate_entry
+from .model import (DOCUMENT, PORT, PortSpec, document_entry, port_entry, valid_name,
+                    validate_entry)
 from .ports import BEHAVIORS, Behavior, behavior
 from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError,
                    entry_from_json, entry_to_json, event_from_json, event_to_json)
@@ -158,6 +159,9 @@ class AdminBehavior(Behavior):
         if handler is None:
             _err(conn, "bad-op", f"unknown op {op!r}")
             return
+        if op in ("get", "remove", "fetch", "abort") and not isinstance(msg.get("name", ""), str):
+            _err(conn, "malformed", "name must be a string")
+            return
         handler(conn, msg)
 
     def _op_list(self, conn, msg: dict) -> None:
@@ -230,7 +234,16 @@ class AdminBehavior(Behavior):
             _err(conn, "bad-query", "query text required")
             return
         mode = self.ctx.config.get("query_mode", "local")
-        name = msg.get("name") or self.ctx.server.next_name("query")
+        name = msg.get("name")
+        if name in (None, ""):
+            name = self.ctx.server.next_name("query")
+        elif not valid_name(name):
+            _err(conn, "malformed", "name must be an entry name")
+            return
+        elif name in self.ctx.node.entries:
+            # a client-chosen name never replaces an entry
+            _err(conn, "name-taken", f"entry {name!r} exists")
+            return
         self._hand_over(conn, port_entry(name, PortSpec("query", {"mode": mode}),
                                          meta={"query": text}))
 
@@ -489,16 +502,20 @@ class QueryBehavior(Behavior):
             self.finished = True
             self.ctx.self_remove()
             return
-        for name in sorted(self.ctx.node.entries):
-            entry = self.ctx.node.entries[name]
+        entries = self.ctx.node.entries
+        # a required equality on a field of the entry narrows the candidates
+        # to the entries that have that value
+        atom = access_predicate(f, ("meta.", "entry.name", "entry.kind"))
+        names = entries if atom is None else self.ctx.node.entries_with(atom.field, atom.literal)
+        for name in sorted(names):
+            entry = entries[name]
             if entry.kind != DOCUMENT:
                 continue
-            probe = Event(INSERT, origin_port=NODE_ORIGIN, entry=entry)
-            if eval_filter(f, probe):
+            ev = insert_event(entry)
+            if eval_filter(f, ev):
                 self.count += 1
                 if self.conn is not None:
-                    self.conn.send({"kind": EVENT,
-                                    "event": event_to_json(insert_event(entry))})
+                    self.conn.send({"kind": EVENT, "event": event_to_json(ev)})
         self._finish()
 
     def _finish(self) -> None:
@@ -509,15 +526,17 @@ class QueryBehavior(Behavior):
             self.conn.send({"kind": ACK, "done": True, "count": self.count})
         self.ctx.self_remove()
 
-    def _pending_results(self) -> bool:
-        return any(e.kind == DOCUMENT and e.meta.get("reply-to") == self.ctx.name
-                   for e in self.ctx.node.entries.values())
+    def _results(self) -> list[str]:
+        """Names of the result documents posted for this query, sorted."""
+        node = self.ctx.node
+        return sorted(name for name in node.entries_with("meta.reply-to", self.ctx.name)
+                      if node.entries[name].kind == DOCUMENT)
 
     def _maybe_finish(self) -> None:
         # done only when every wrapper retired AND every result it posted
         # has been streamed out; the two arrive on separate subscriptions
         # in no guaranteed relative order
-        if self.seen_wrapper and not self.live_wrappers and not self._pending_results():
+        if self.seen_wrapper and not self.live_wrappers and not self._results():
             self._finish()
 
     def on_event(self, ev, subscription: str) -> bool:
@@ -561,7 +580,7 @@ class QueryBehavior(Behavior):
             if entry is not None:
                 self.ctx.post_as_node(remove_event(entry))
         self.live_wrappers.clear()
-        for name in sorted(list(node.entries)):
+        for name in self._results():
             entry = node.entries.get(name)
             if (entry is not None and entry.kind == DOCUMENT
                     and entry.meta.get("reply-to") == self.ctx.name):

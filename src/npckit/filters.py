@@ -305,6 +305,18 @@ def glob_match(pattern: str, text: str) -> bool:
     return _glob_re(pattern).fullmatch(text) is not None
 
 
+def entry_field(entry, field: str) -> str:
+    """An entry's value of ``entry.name``, ``entry.kind`` or ``meta.<key>``;
+    "" for a missing piece, as in evaluation."""
+    if field == "entry.name":
+        return entry.name or ""
+    if field == "entry.kind":
+        return entry.kind or ""
+    if field.startswith("meta."):
+        return entry.meta.get(field[5:], "")
+    return ""
+
+
 def _field_value(ev, field: str) -> str:
     # Missing pieces read as "" so that evaluation is total.
     if field == "event.type":
@@ -318,13 +330,7 @@ def _field_value(ev, field: str) -> str:
     entry = getattr(ev, "entry", None)
     if entry is None:
         return ""
-    if field == "entry.name":
-        return entry.name or ""
-    if field == "entry.kind":
-        return entry.kind or ""
-    if field.startswith("meta."):
-        return entry.meta.get(field[5:], "")
-    return ""
+    return entry_field(entry, field)
 
 
 def _compare(op: str, left: str, right: str) -> bool:
@@ -397,6 +403,49 @@ def filter_event_types(e: FilterExpr) -> set[str] | None:
     raise TypeError(f"not a filter expression: {e!r}")
 
 
+def access_predicate(e: FilterExpr, fields: tuple[str, ...]) -> Cmp | None:
+    """A ``field == "literal"`` atom among the top-level conjuncts of ``e``,
+    so one that holds wherever ``e`` holds, on the earliest of ``fields``
+    that has one; ``"meta."`` in ``fields`` stands for every metadata key.
+    None when no conjunct qualifies."""
+    best, rank = None, len(fields)
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, And):
+            todo += [x.right, x.left]
+        elif isinstance(x, Cmp) and x.op == "==":
+            group = "meta." if x.field.startswith("meta.") else x.field
+            if group in fields and fields.index(group) < rank:
+                best, rank = x, fields.index(group)
+    return best
+
+
+class ValueMap:
+    """field -> value -> keys: what the filter index files filters under and
+    how a node finds the entries with a given field value."""
+
+    def __init__(self):
+        self.fields: dict[str, dict[str, set]] = {}
+
+    def add(self, field: str, value: str, key) -> None:
+        self.fields.setdefault(field, {}).setdefault(value, set()).add(key)
+
+    def discard(self, field: str, value: str, key) -> None:
+        values = self.fields[field]
+        keys = values[value]
+        keys.discard(key)
+        if not keys:
+            del values[value]
+            if not values:
+                del self.fields[field]
+
+
+# the fields a subscription is filed under, most selective first; filters
+# with none of them fall back to their event types
+ACCESS_FIELDS = ("meta.", "entry.name", "event.label", "event.port")
+
+
 class FilterIndexError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -406,34 +455,44 @@ class FilterIndexError(Exception):
 class FilterIndex:
     """Routes events to the registered filters that match them.
 
-    Acceleration is keyed on positive ``event.type`` equality atoms only;
-    candidates are always confirmed with a full evaluation, so the result is
+    Each filter is filed under one access predicate: a required equality
+    atom on one of ``ACCESS_FIELDS``, else the event types it can match,
+    else nothing, which makes it a candidate for every event.  An event
+    looks up its own value of each field filters are filed under, and
+    every candidate is confirmed with a full evaluation, so the result is
     identical to scanning every registered filter.
     """
 
     def __init__(self):
-        self._filters: dict = {}
-        self._typed: dict[str, set] = {}
+        self._filters: dict = {}  # key -> (expr, [(field, value)] or None)
+        self._by_value = ValueMap()
         self._any: set = set()
 
     def register(self, key, expr: FilterExpr) -> None:
         if key in self._filters:
             raise FilterIndexError("duplicate-registration", repr(key))
-        self._filters[key] = expr
-        types = filter_event_types(expr)
-        if types is None:
+        atom = access_predicate(expr, ACCESS_FIELDS)
+        if atom is not None:
+            filed = [(atom.field, atom.literal)]
+        else:
+            types = filter_event_types(expr)
+            filed = None if types is None else [("event.type", t) for t in types]
+        self._filters[key] = (expr, filed)
+        if filed is None:
             self._any.add(key)
         else:
-            for t in types:
-                self._typed.setdefault(t, set()).add(key)
+            for field, value in filed:
+                self._by_value.add(field, value, key)
 
     def unregister(self, key) -> None:
         if key not in self._filters:
             raise FilterIndexError("unknown-port", repr(key))
-        del self._filters[key]
-        self._any.discard(key)
-        for bucket in self._typed.values():
-            bucket.discard(key)
+        _, filed = self._filters.pop(key)
+        if filed is None:
+            self._any.discard(key)
+        else:
+            for field, value in filed:
+                self._by_value.discard(field, value, key)
 
     def __contains__(self, key) -> bool:
         return key in self._filters
@@ -442,8 +501,13 @@ class FilterIndex:
         return len(self._filters)
 
     def candidates(self, ev) -> set:
-        return self._typed.get(ev.kind, set()) | self._any
+        out = set(self._any)
+        for field, values in self._by_value.fields.items():
+            keys = values.get(_field_value(ev, field))
+            if keys:
+                out |= keys
+        return out
 
     def match(self, ev) -> set:
         """Keys of all registered filters the event satisfies."""
-        return {k for k in self.candidates(ev) if eval_filter(self._filters[k], ev)}
+        return {k for k in self.candidates(ev) if eval_filter(self._filters[k][0], ev)}

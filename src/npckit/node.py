@@ -4,7 +4,8 @@ A node is a single sequential process.  Ports post events to it; accepted
 entry events land in the history and are then delivered, one per step, to
 the subscriptions whose effective filter matches.  A filter index routes
 each appended event to the queue of every subscription it matches, and
-delivery walks a ring over the subscriptions so that no consumer starves.
+delivery walks a ring over the subscriptions so that no consumer starves;
+the walk only visits subscriptions that have something to deliver.
 
 Flow control follows the port protocol: a Receive arms a subscription, a
 Suspend from the port pauses it, a Resume rearms it, and when a subscription
@@ -15,10 +16,11 @@ fresh demand; a Close ends the subscription and cancels those Resumes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .filters import And, FilterExpr, TRUE, FilterIndex, eval_filter
+from .filters import And, FilterExpr, TRUE, FilterIndex, ValueMap, entry_field, eval_filter
 from .history import (CLOSE, Event, EventHistory, INSERT, KINDS, NODE_ORIGIN,
                       RECEIVE, REMOVE, RESUME, SUSPEND, TIME, is_exclusive)
 from .model import Entry, NODE, PORT, PortSpec
@@ -38,6 +40,7 @@ class TimerSpec:
     every: int | None = None
     at: int | None = None
     next_fire: int = 0
+    port: str | None = None  # the owner; its timers retire with it
 
 
 @dataclass
@@ -50,10 +53,70 @@ class Subscription:
     at_end_notified: bool = False
     pending: deque = field(default_factory=deque)
     offered: set = field(default_factory=set)
+    ticket: int = 0  # place in the delivery ring
+    ready: bool = False
+    idle_since: int | None = None  # sweep number, while armed but not ready
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.port, self.name)
+
+
+class ReadyRing:
+    """Round-robin over ticketed members, visiting only the ready ones.
+
+    Tickets only grow, so ticket order is ring order.  A walk begins at the
+    first member whose ticket is at least ``start``, wrapping around, and
+    serves the first ready member it meets.
+
+    A walk counts as a poll of every member it passes, and a poll moves the
+    cursor of an armed subscription with nothing to deliver to the end of
+    the history as it is then.  Instead of touching those members, the
+    ring numbers its walks as sweeps and the effect is applied when a
+    member next changes state.  A full walk passes every member; ``sweeps``
+    holds ``(number, lo, hi, mark)`` for each partial walk since the last
+    full one: it passed the tickets from ``lo`` up to, not including, ``hi``
+    (wrapping when ``hi < lo``).  ``mark`` is where a walk moved cursors.
+    """
+
+    def __init__(self):
+        self.ready: list[tuple] = []  # (ticket, member), ascending
+        self.start = 0
+        self.swept_no = 0
+        self.full_no = 0  # number and mark of the last full sweep
+        self.full_mark = 0
+        self.sweeps: list[tuple] = []
+
+    def add(self, ticket: int, member) -> None:
+        insort(self.ready, (ticket, member))
+
+    def discard(self, ticket: int) -> None:
+        del self.ready[bisect_left(self.ready, (ticket,))]
+
+    def first_ready(self, pos: int) -> tuple:
+        """The first ready member at or after ticket ``pos``, wrapping."""
+        i = bisect_left(self.ready, (pos,))
+        return self.ready[i if i < len(self.ready) else 0]
+
+    def swept(self, lo: int | None, hi: int | None, mark: int = 0) -> None:
+        """Record a walk from ``lo`` up to ``hi``; a full one when ``lo`` is
+        None."""
+        self.swept_no += 1
+        if lo is None:
+            self.full_no, self.full_mark = self.swept_no, mark
+            self.sweeps.clear()
+        elif lo != hi:
+            self.sweeps.append((self.swept_no, lo, hi, mark))
+
+    def last_sweep(self, ticket: int, since: int) -> int | None:
+        """Mark of the latest sweep after number ``since`` that passed
+        ``ticket``; None when there was none."""
+        for no, lo, hi, mark in reversed(self.sweeps):
+            if no <= since:
+                return None
+            if lo <= ticket < hi if lo < hi else (ticket >= lo or ticket < hi):
+                return mark
+        return self.full_mark if self.full_no > since else None
 
 
 @dataclass
@@ -89,8 +152,13 @@ class Node:
         self.on_port_inserted = None
         self.on_port_removed = None
         self.on_node_inserted = None
-        self._ring: list[tuple[str, str]] = []
-        self._next = 0
+        # (ring, ticket) of this node in the ready ring of the server that
+        # drives it
+        self.slot = None
+        self._seen = 0  # the last of the server's sweeps applied here
+        self._ring = ReadyRing()
+        self._tickets = 0
+        self._table = ValueMap()  # entry field -> value -> names, as looked up
 
     # -- naming ------------------------------------------------------------
 
@@ -127,6 +195,7 @@ class Node:
         port's own delivery and a port with data-only filters could never
         subscribe otherwise.
         """
+        self._catch_up()
         if ev.seq != 0:
             raise NodeError("already-stamped", f"seq {ev.seq}")
         if ev.kind not in KINDS:
@@ -169,18 +238,19 @@ class Node:
         if sub is not None:
             return sub, False
         sub = Subscription(from_port, name, TRUE, cursor=self._initial_cursor(from_port))
-        self.subs[key] = sub
-        self._ring.append(key)
+        self._add_sub(sub)
         return sub, True
 
     def _post_receive(self, from_port: str, ev: Event) -> None:
         if from_port == NODE_ORIGIN:
             raise NodeError("bad-kind", "the node does not subscribe to itself")
         sub, _created = self._sub_for(from_port, ev)
+        self._settle(sub)
         sub.dyn_filter = ev.filter if ev.filter is not None else TRUE
         sub.flag = True
         sub.at_end_notified = False
         self._index(sub)
+        self._refresh(sub)
         self._trace("post", f"Receive {sub.name}", actor=self._port_actor(from_port))
         return None
 
@@ -189,6 +259,7 @@ class Node:
         sub = self.subs.get(key)
         if sub is not None:
             sub.flag = False
+            self._refresh(sub)
         self._trace("post", f"Suspend {ev.subscription or 'default'}",
                     actor=self._port_actor(from_port))
         return None
@@ -198,6 +269,7 @@ class Node:
         if created:
             self._index(sub)
         sub.flag = True
+        self._refresh(sub)
         self._trace("post", f"Resume {sub.name}", actor=self._port_actor(from_port))
         if self._peek(sub) is None:
             # nothing left to deliver: record the Resume so interested
@@ -209,10 +281,8 @@ class Node:
     def _post_close(self, from_port: str, ev: Event) -> Event:
         name = ev.subscription or "default"
         key = (from_port, name)
-        sub = self.subs.pop(key, None)
-        if sub is not None:
-            self._ring_remove(key)
-            self.index.unregister(key)
+        if key in self.subs:
+            self._remove_sub(key)
         self._trace("post", f"Close {name}", actor=self._port_actor(from_port))
         return self._append(replace(ev, subscription=name))
 
@@ -222,6 +292,7 @@ class Node:
         name = ev.entry.name
         old = self.entries.get(name)
         self.entries[name] = ev.entry
+        self._file_entry(name, old, ev.entry)
         self._trace("post", f"Insert {name}", actor=self._port_actor(from_port))
         stamped = self._append(ev)
         if old is not None and old.kind == PORT:
@@ -239,7 +310,9 @@ class Node:
             raise NodeError("missing-entry", "Remove without entry")
         name = ev.entry.name
         current = self.entries.pop(name, None)
-        if current is None:
+        if current is not None:
+            self._file_entry(name, current, None)
+        else:
             # removing what is not there is a no-op, not an error, and
             # leaves no trace in the history
             self._trace("post", f"Remove {name} (absent)", actor=self._port_actor(from_port))
@@ -273,15 +346,39 @@ class Node:
             if len(sub.pending) > 2 * len(self.history):
                 # more than half of the queue is dead: cancelled, aged out
                 sub.pending = deque(seq for seq in sub.pending if self.history.is_live(seq))
+            self._refresh(sub)
         return stamped
+
+    # -- the entry table, looked up by field -----------------------------------
+
+    def entries_with(self, field: str, value: str) -> set[str]:
+        """Names of the entries whose ``field`` (``entry.name``,
+        ``entry.kind`` or ``meta.<key>``) reads ``value``; callers must not
+        change the set.  A field's map is built on its first lookup and
+        kept up to date from then on."""
+        values = self._table.fields.get(field)
+        if values is None:
+            for name, entry in self.entries.items():
+                self._table.add(field, entry_field(entry, field), name)
+            values = self._table.fields.get(field, {})
+        return values.get(value, set())
+
+    def _file_entry(self, name: str, old: Entry | None, new: Entry | None) -> None:
+        if not self._table.fields:
+            return
+        for f in list(self._table.fields):
+            if old is not None:
+                self._table.discard(f, entry_field(old, f), name)
+            if new is not None:
+                self._table.add(f, entry_field(new, f), name)
 
     # -- port lifecycle ------------------------------------------------------
 
     def _drop_port(self, name: str, entry: Entry | None) -> None:
         for key in [k for k in self.subs if k[0] == name]:
-            del self.subs[key]
-            self._ring_remove(key)
-            self.index.unregister(key)
+            self._remove_sub(key)
+        for label in [label for label, t in self.timers.items() if t.port == name]:
+            del self.timers[label]
         self.sinks.pop(name, None)
         self.attachments.pop(name, None)
         if self.on_port_removed is not None:
@@ -295,10 +392,27 @@ class Node:
         sub = self.subs.get(key)
         if sub is None:
             sub = Subscription(port, "default", TRUE, flag=spec.receive_flag, cursor=spec.cursor)
-            self.subs[key] = sub
-            self._ring.append(key)
+            self._add_sub(sub)
             self._index(sub)
+            self._refresh(sub)
         return sub
+
+    def _add_sub(self, sub: Subscription) -> None:
+        self._tickets += 1
+        sub.ticket = self._tickets
+        self.subs[sub.key] = sub
+
+    def _remove_sub(self, key: tuple[str, str]) -> None:
+        sub = self.subs.pop(key)
+        self.index.unregister(key)
+        if sub.ready:
+            self._file_ready(sub, False)
+        if not self.subs or self._ring.start > self._last_ticket():
+            # nothing left at or after the start: the next walk wraps
+            self._ring.start = 0
+
+    def _last_ticket(self) -> int:
+        return next(reversed(self.subs.values())).ticket
 
     def _index(self, sub: Subscription) -> None:
         """(Re)register a subscription's effective filter and queue its
@@ -342,18 +456,52 @@ class Node:
         sub.cursor = max(sub.cursor, self.history.last_seq + 1)
         return None
 
-    def _ring_remove(self, key) -> None:
-        try:
-            idx = self._ring.index(key)
-        except ValueError:
-            return
-        self._ring.pop(idx)
-        if idx < self._next:
-            self._next -= 1
-        if self._ring:
-            self._next %= len(self._ring)
+    def _refresh(self, sub: Subscription) -> None:
+        """File ``sub`` in the ready ring, or take it out, after its state
+        changed.  It is ready while armed with queued events or an unsent
+        end-of-history Suspend."""
+        self._settle(sub)
+        ready = sub.flag and (bool(sub.pending) or not sub.at_end_notified)
+        if ready != sub.ready:
+            self._file_ready(sub, ready)
+        if not sub.flag or ready:
+            sub.idle_since = None
+        elif sub.idle_since is None:
+            sub.idle_since = self._ring.swept_no
+
+    def _file_ready(self, sub: Subscription, ready: bool) -> None:
+        sub.ready = ready
+        if ready:
+            self._ring.add(sub.ticket, sub)
         else:
-            self._next = 0
+            self._ring.discard(sub.ticket)
+        if self.slot is not None and len(self._ring.ready) == (1 if ready else 0):
+            # the node itself became ready, or has nothing left
+            ring, ticket = self.slot
+            if ready:
+                ring.add(ticket, self)
+            else:
+                ring.discard(ticket)
+
+    def _settle(self, sub: Subscription) -> None:
+        """Give an armed subscription with nothing to deliver the cursor
+        that the walks passing over it would have left: the end of the
+        history as it was at the last of them."""
+        if sub.idle_since is not None:
+            mark = self._ring.last_sweep(sub.ticket, sub.idle_since)
+            if mark is not None:
+                sub.cursor = max(sub.cursor, mark)
+            sub.idle_since = self._ring.swept_no
+
+    def _catch_up(self) -> None:
+        """Apply the server's walks that passed over this node since the
+        last call: each one polled every subscription here."""
+        if self.slot is not None:
+            ring, ticket = self.slot
+            if ring.swept_no != self._seen:
+                if ring.last_sweep(ticket, self._seen) is not None:
+                    self._ring.swept(None, None, self.history.last_seq + 1)
+                self._seen = ring.swept_no
 
     def deliver_step(self) -> Delivered | None:
         """Deliver at most one event to the next ready subscription in ring
@@ -365,36 +513,40 @@ class Node:
         actually delivered, so an idle pair of ports cannot ping-pong
         Suspend and Resume forever.
         """
-        # the ring is walked in place: nothing below changes it before the
-        # sink, and the walk ends there
+        self._catch_up()
         ring = self._ring
-        n = len(ring)
-        for i in range(n):
-            at = (self._next + i) % n
-            sub = self.subs[ring[at]]
-            if not sub.flag:
-                continue
+        mark = self.history.last_seq + 1
+        pos = ring.start
+        while ring.ready:
+            ticket, sub = ring.first_ready(pos)
             ev = self._take_next(sub)
+            if ev is None and sub.at_end_notified:
+                # polled dry: it leaves the ready set and the walk goes on
+                self._refresh(sub)
+                pos = ticket + 1
+                continue
+            ring.swept(ring.start, ticket, mark)
+            ring.start = ticket + 1 if ticket < self._last_ticket() else 0
             if ev is not None:
                 sub.cursor = max(sub.cursor, ev.seq + 1)
                 if ev.kind in (INSERT, REMOVE, TIME):
                     sub.at_end_notified = False
-                self._next = (at + 1) % n
+                self._refresh(sub)
                 self._trace("deliver", f"{ev.kind}#{ev.seq} -> {sub.name}",
                             actor=self._port_actor(sub.port))
                 consumed = self._sink(sub.port, ev, sub.name)
                 if consumed and is_exclusive(ev):
                     self.history.mark_consumed(ev.seq)
                 return Delivered(sub.port, sub.name, ev)
-            if not sub.at_end_notified:
-                sub.flag = False
-                sub.at_end_notified = True
-                notice = Event(SUSPEND, origin_port=NODE_ORIGIN, subscription=sub.name)
-                self._next = (at + 1) % n
-                self._trace("deliver", f"Suspend@node -> {sub.name}",
-                            actor=self._port_actor(sub.port))
-                self._sink(sub.port, notice, sub.name)
-                return Delivered(sub.port, sub.name, notice)
+            sub.flag = False
+            sub.at_end_notified = True
+            self._refresh(sub)
+            notice = Event(SUSPEND, origin_port=NODE_ORIGIN, subscription=sub.name)
+            self._trace("deliver", f"Suspend@node -> {sub.name}",
+                        actor=self._port_actor(sub.port))
+            self._sink(sub.port, notice, sub.name)
+            return Delivered(sub.port, sub.name, notice)
+        ring.swept(None, None, mark)
         return None
 
     def _sink(self, port: str, ev: Event, sub_name: str):
@@ -413,11 +565,8 @@ class Node:
         if not is_exclusive(ev):
             raise NodeError("not-exclusive", f"event #{ev.seq}")
         matching: dict[str, list[Subscription]] = {}
-        for key in list(self._ring):
-            sub = self.subs.get(key)
-            if sub is None or not sub.flag or sub.port == ev.origin_port:
-                continue
-            if eval_filter(self._effective(sub), ev):
+        for sub in sorted((self.subs[k] for k in self.index.match(ev)), key=lambda s: s.ticket):
+            if sub.flag and sub.port != ev.origin_port:
                 matching.setdefault(sub.port, []).append(sub)
 
         def prio(port: str) -> int:

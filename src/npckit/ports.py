@@ -77,7 +77,7 @@ class PortContext:
 
     def schedule(self, label: str, every: int | None = None, at: int | None = None) -> None:
         from .node import TimerSpec
-        self.node.schedule(TimerSpec(label, every=every, at=at), now=self.now())
+        self.node.schedule(TimerSpec(label, every=every, at=at, port=self.name), now=self.now())
 
     def defer(self, method: str) -> None:
         """Run this port's ``method`` once from the driving loop, after the

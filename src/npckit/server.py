@@ -22,7 +22,7 @@ from .history import NODE_ORIGIN, SUSPEND, insert_event
 from .model import (DOCUMENT, Entry, EntryUrl, NODE, PORT, PortSpec, UrlError,
                     document_entry, node_entry, parse_url, port_entry,
                     valid_name)
-from .node import Node
+from .node import Node, ReadyRing
 from .ports import BEHAVIORS, PortContext
 from .wire import BYE, ERROR, HELLO
 from . import behaviors as _stock_behaviors  # noqa: F401  (fills BEHAVIORS)
@@ -155,8 +155,7 @@ class Server:
         self.conns: dict[int, object] = {}
         self.stubs: dict[str, object] = {}
         self._query_counter = 0
-        self._node_ring: list[Node] = []
-        self._node_next = 0
+        self._ready = ReadyRing()  # of nodes, ticketed in creation order
         self.listener = None
         self.httpd = None
         self._driver: threading.Thread | None = None
@@ -199,8 +198,8 @@ class Server:
         node.on_port_inserted = lambda entry, n=node: self._spawn_port(n, entry)
         node.on_port_removed = lambda name, entry, n=node: self._stop_port(n, name)
         node.on_node_inserted = lambda entry, n=node: self._bind_subnode(n, entry)
+        node.slot = (self._ready, len(self.nodes))
         self.nodes[path] = node
-        self._node_ring.append(node)
         return node
 
     def _boot(self) -> None:
@@ -441,16 +440,22 @@ class Server:
     # -- driving ------------------------------------------------------------------------
 
     def deliver_step(self) -> bool:
-        """One delivery somewhere in the tree, fair across nodes."""
-        # nodes are only ever appended, so a delivery that builds a subnode
+        """One delivery somewhere in the tree, fair across nodes: the next
+        node in ring order that has a subscription ready.  A node is in
+        the ready ring exactly while it has one."""
+        ring = self._ready
+        # nodes are only ever added, so a delivery that builds a subnode
         # leaves the first n places as they were
-        ring = self._node_ring
-        n = len(ring)
-        for i in range(n):
-            at = (self._node_next + i) % n
-            if ring[at].deliver_step() is not None:
-                self._node_next = (at + 1) % n
+        n = len(self.nodes)
+        pos = ring.start
+        while ring.ready:
+            ticket, node = ring.first_ready(pos)
+            ring.swept(ring.start, ticket)
+            if node.deliver_step() is not None:
+                ring.start = (ticket + 1) % n
                 return True
+            pos = ticket + 1
+        ring.swept(None, None)
         return False
 
     def drain(self, limit: int = 100000) -> int:

@@ -3,21 +3,24 @@
 Property tests draw from per-test seeded Random instances so a failing run
 reproduces exactly.  The oracles here are deliberately naive: a recursive
 glob matcher and a replay of the cancellation rules, kept simple enough to
-be obviously correct.  ``ScanNode`` finds each delivery by scanning the
-history from the subscription's cursor: the reference for the node's
-queue-fed delivery path.
+be obviously correct.  ``ScanNode`` polls every subscription and finds
+each delivery by scanning the history from the subscription's cursor: the
+reference for the node's indexed, queue-fed delivery through its ready
+ring.
 """
 
 import random
+import sys
 import zlib
 
 import pytest
 
-from npckit.filters import And, BoolLit, Cmp, Not, Or
-from npckit.history import (CLOSE, INSERT, REMOVE, RESUME, SUSPEND, TIME, Event)
+from npckit.filters import And, BoolLit, Cmp, Not, Or, eval_filter
+from npckit.history import (CLOSE, INSERT, NODE_ORIGIN, REMOVE, RESUME, SUSPEND, TIME,
+                            Event, is_exclusive)
 from npckit.model import (DOCUMENT, NODE, PORT, PortSpec, document_entry,
                           node_entry, port_entry)
-from npckit.node import Node
+from npckit.node import Delivered, Node
 
 
 @pytest.fixture
@@ -156,10 +159,57 @@ def replay_live(events, max_events=None):
     return live
 
 
+def lines_run(modules, fn):
+    """Run ``fn`` and count the Python lines it executes inside ``modules``:
+    a measure of work that does not depend on the host's speed."""
+    files = {m.__file__ for m in modules}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 class ScanNode(Node):
-    """A node that ignores its per-subscription queues and finds each
-    delivery by reading the history from the subscription's cursor
-    through the subscription's effective filter."""
+    """A node that delivers the way the kit did before subscriptions were
+    indexed: ``deliver_step`` polls every subscription in ring order until
+    one delivers, each delivery is found by reading the history from the
+    subscription's cursor through its effective filter, and an exclusive
+    event is offered after evaluating every subscription's filter.  The
+    per-subscription queues and the ready ring are ignored."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._scan_ring = []
+        self._scan_next = 0
+
+    def _add_sub(self, sub):
+        super()._add_sub(sub)
+        self._scan_ring.append(sub.key)
+
+    def _remove_sub(self, key):
+        super()._remove_sub(key)
+        idx = self._scan_ring.index(key)
+        self._scan_ring.pop(idx)
+        if idx < self._scan_next:
+            self._scan_next -= 1
+        if self._scan_ring:
+            self._scan_next %= len(self._scan_ring)
+        else:
+            self._scan_next = 0
 
     def _peek(self, sub):
         pos = sub.cursor
@@ -183,3 +233,52 @@ class ScanNode(Node):
                 sub.cursor = nxt
                 continue
             return ev
+
+    def deliver_step(self):
+        ring = self._scan_ring
+        n = len(ring)
+        for i in range(n):
+            at = (self._scan_next + i) % n
+            sub = self.subs[ring[at]]
+            if not sub.flag:
+                continue
+            ev = self._take_next(sub)
+            if ev is not None:
+                sub.cursor = max(sub.cursor, ev.seq + 1)
+                if ev.kind in (INSERT, REMOVE, TIME):
+                    sub.at_end_notified = False
+                self._scan_next = (at + 1) % n
+                consumed = self._sink(sub.port, ev, sub.name)
+                if consumed and is_exclusive(ev):
+                    self.history.mark_consumed(ev.seq)
+                return Delivered(sub.port, sub.name, ev)
+            if not sub.at_end_notified:
+                sub.flag = False
+                sub.at_end_notified = True
+                notice = Event(SUSPEND, origin_port=NODE_ORIGIN, subscription=sub.name)
+                self._scan_next = (at + 1) % n
+                self._sink(sub.port, notice, sub.name)
+                return Delivered(sub.port, sub.name, notice)
+        return None
+
+    def deliver_exclusive(self, ev):
+        matching = {}
+        for key in list(self._scan_ring):
+            sub = self.subs.get(key)
+            if sub is None or not sub.flag or sub.port == ev.origin_port:
+                continue
+            if eval_filter(self._effective(sub), ev):
+                matching.setdefault(sub.port, []).append(sub)
+
+        def prio(port):
+            spec = self.port_spec(port)
+            return spec.priority if spec is not None else 0
+
+        for port in sorted(matching, key=lambda p: (-prio(p), p)):
+            for sub in matching[port]:
+                sub.offered.add(ev.seq)
+            consumed = self._sink(port, ev, matching[port][0].name)
+            if consumed:
+                self.history.mark_consumed(ev.seq)
+                return port
+        return None

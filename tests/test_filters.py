@@ -2,11 +2,12 @@
 
 import pytest
 
-from conftest import (glob_oracle, loose_text, rand_event, rand_filter)
-from npckit.filters import (And, BoolLit, Cmp, FALSE, FilterError, FilterIndex,
-                            FilterIndexError, Not, Or, TRUE, eval_filter,
-                            filter_event_types, glob_match,
-                            parse_filter, print_filter)
+from conftest import (LABELS, META_VALUES, NAMES, PORTS, glob_oracle, loose_text,
+                      rand_event, rand_filter)
+from npckit.filters import (ACCESS_FIELDS, And, BoolLit, Cmp, FALSE, FilterError,
+                            FilterIndex, FilterIndexError, Not, Or, TRUE,
+                            access_predicate, eval_filter, filter_event_types,
+                            glob_match, parse_filter, print_filter)
 from npckit.history import Event, INSERT, TIME
 from npckit.model import document_entry
 
@@ -187,7 +188,27 @@ def test_glob_star_crosses_anything():
 
 
 # ---------------------------------------------------------------------------
-# event type extraction and the index
+# access predicates, event type extraction and the index
+
+def test_access_predicate_cases():
+    def pred(text, fields=ACCESS_FIELDS):
+        atom = access_predicate(parse_filter(text), fields)
+        return None if atom is None else (atom.field, atom.literal)
+
+    assert pred('meta.topic == "news"') == ("meta.topic", "news")
+    # any top-level conjunct, the earliest listed field first
+    assert pred('event.type == "Insert" and (entry.kind == "document" and event.port == "in")'
+                ' and entry.name == "a"') == ("entry.name", "a")
+    assert pred('event.label == "t" and meta.reply-to == "q"') == ("meta.reply-to", "q")
+    # an atom that need not hold is no access predicate
+    assert pred('meta.topic != "news"') is None
+    assert pred('not meta.topic == "news"') is None
+    assert pred('meta.topic == "a" or meta.topic == "b"') is None
+    assert pred('meta.topic matches "n*"') is None
+    # event.type and entry.kind are left to the caller's fallback
+    assert pred('event.type == "Insert" and entry.kind == "document"') is None
+    assert pred('entry.kind == "document"', ("meta.", "entry.name", "entry.kind")) \
+        == ("entry.kind", "document")
 
 def test_filter_event_types_cases():
     assert filter_event_types(TRUE) is None
@@ -211,6 +232,11 @@ def test_index_matches_exactly_like_a_scan(rng):
     for i in range(60):
         key = (f"p{i}", "default")
         f = rand_filter(rng)
+        if rng.random() < 0.5:
+            # behind an equality the events below can satisfy
+            field, values = rng.choice([("meta.topic", META_VALUES), ("entry.name", NAMES),
+                                        ("event.label", LABELS[1:]), ("event.port", PORTS)])
+            f = And(Cmp(field, "==", rng.choice(values)), f)
         filters[key] = f
         index.register(key, f)
     for _ in range(400):
@@ -228,6 +254,22 @@ def test_index_candidates_prune_by_event_type():
     assert "any" in index.candidates(time_ev)
     ins_ev = ev_insert("d")
     assert index.match(ins_ev) == {"ins", "any"}
+
+
+def test_index_candidates_are_filed_under_one_access_predicate():
+    index = FilterIndex()
+    index.register("news", parse_filter('event.type == "Insert" and meta.topic == "news"'))
+    index.register("a", parse_filter('entry.name == "a" and meta.topic == "sports"'))
+    index.register("tick", parse_filter('event.label == "tick"'))
+    index.register("ins", parse_filter('event.type == "Insert"'))
+    index.register("any", parse_filter('meta.topic != "news"'))
+    index.register("never", FALSE)
+    assert index.candidates(ev_insert("a", meta={"topic": "sports"})) == {"a", "ins", "any"}
+    assert index.candidates(ev_insert("b", meta={"topic": "news"})) == {"news", "ins", "any"}
+    assert index.candidates(Event(TIME, label="tick")) == {"tick", "any"}
+    for key in ["news", "a", "tick", "ins", "any", "never"]:
+        index.unregister(key)
+    assert index.candidates(ev_insert("a", meta={"topic": "news"})) == set()
 
 
 def test_index_register_errors():

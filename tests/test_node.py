@@ -1,16 +1,16 @@
 """Node delivery protocol: posting, subscriptions, fairness, exclusivity."""
 
-import sys
-
 import pytest
 
-from npckit.filters import FALSE, TRUE, parse_filter
+from npckit.filters import FALSE, TRUE, And, Cmp, parse_filter
 from npckit.history import (CLOSE, Event, INSERT, NODE_ORIGIN, REMOVE, RESUME,
                             SUSPEND, TIME, close_event, insert_event,
                             receive_event, remove_event, resume_event,
                             suspend_event)
 from npckit.model import PortSpec, document_entry, port_entry
 from npckit.node import Node, NodeError, TimerSpec
+
+from conftest import lines_run
 
 
 class Collector:
@@ -21,11 +21,13 @@ class Collector:
 
     def __init__(self, consume=False):
         self.got = []
+        self.subscriptions = []
         self.consume = consume
         self.rearm = None
 
     def __call__(self, ev, sub):
         self.got.append(ev)
+        self.subscriptions.append(sub)
         if (self.rearm is not None and ev.kind == SUSPEND
                 and ev.origin_port == NODE_ORIGIN):
             node, port = self.rearm
@@ -353,6 +355,22 @@ def test_ring_serves_subscriptions_round_robin():
         assert len(sink.got) == 10
 
 
+@pytest.mark.parametrize("reference", [True, False])
+def test_ring_wraps_when_its_start_leaves(reference):
+    from conftest import ScanNode
+    n = ScanNode() if reference else Node()
+    add_port(n, "in")
+    for name in ["a", "b", "c"]:
+        add_port(n, name)
+    n.post_event("a", receive_event("default", DOCS))
+    n.post_event("b", receive_event("default", DOCS))
+    n.post_event("in", insert_event(doc("d1")))
+    assert n.deliver_step().port == "a"  # b is next...
+    n.post_event("b", close_event())  # ...until it goes: the ring wraps to a
+    n.post_event("c", receive_event("default", DOCS))
+    assert [d.port for d in drain(n)] == ["a", "c", "c"]
+
+
 def test_slow_consumer_does_not_stall_others():
     n = Node()
     fast = add_port(n, "fast", input_filter=DOCS)
@@ -416,6 +434,16 @@ def test_exclusive_unconsumed_waits_for_a_later_subscriber():
     drain(n)
     assert [e.entry.name for e in taker.got if e.entry] == ["job"]
     assert n.history.is_consumed(ev.seq)
+
+
+def test_exclusive_offer_names_the_ports_oldest_matching_subscription():
+    n = Node()
+    worker = add_port(n, "w", consume=True)
+    for sub in ["second", "first", "other"]:
+        n.post_event("w", receive_event(sub, parse_filter('meta.topic != "x"')))
+    n.post_event("w", suspend_event("second"))
+    n.post_event(NODE_ORIGIN, insert_event(doc("job", meta={"exclusive": "true"})))
+    assert worker.subscriptions == ["first"]
 
 
 def test_exclusive_never_offered_to_its_origin():
@@ -517,17 +545,56 @@ def test_default_subscription_honors_receive_flag():
 
 
 # ---------------------------------------------------------------------------
-# queue-fed delivery stays observably identical to scanning the history
+# indexed, queue-fed delivery stays observably identical to polling every
+# subscription and scanning the history
+
+def rand_access_filter(r):
+    """A random filter, half the time behind a required equality on a field
+    the filter index files subscriptions under."""
+    from conftest import rand_filter
+    f = rand_filter(r, depth=2)
+    if r.random() < 0.5:
+        return f
+    field, value = r.choice([
+        ("meta.topic", r.choice(["news", "sports"])),
+        ("entry.name", f"d{r.randrange(6)}"),
+        ("event.port", f"p{r.randrange(4)}"),
+        ("event.label", "tick"),
+    ])
+    atom = Cmp(field, "==", value)
+    return And(atom, f) if r.random() < 0.5 else And(f, atom)
+
 
 def build_random_node(rng, node_cls, max_history):
-    from conftest import rand_filter
     n = node_cls(max_history=max_history)
     for i in range(4):
         name = f"p{i}"
-        spec = PortSpec("manual", input_filter=rand_filter(rng, depth=2))
+        spec = PortSpec("manual", input_filter=rand_access_filter(rng),
+                        priority=rng.randrange(3))
         n.post_event(NODE_ORIGIN, insert_event(port_entry(name, spec)))
-        n.sinks[name] = Collector()
+        n.sinks[name] = Collector(consume=rng.random() < 0.5)
     return n
+
+
+def post_random(n, r):
+    port = f"p{r.randrange(4)}"
+    sub = r.choice(["default", "s"])
+    roll = r.random()
+    if roll < 0.35:
+        meta = {"topic": r.choice(["news", "sports"])}
+        if r.random() < 0.25:
+            meta["exclusive"] = "true"
+        n.post_event(port, insert_event(doc(f"d{r.randrange(6)}", meta=meta)))
+    elif roll < 0.45:
+        n.post_event(port, remove_event(doc(f"d{r.randrange(6)}")))
+    elif roll < 0.7:
+        n.post_event(port, receive_event(sub, rand_access_filter(r)))
+    elif roll < 0.8:
+        n.post_event(port, suspend_event(sub))
+    elif roll < 0.9:
+        n.post_event(port, resume_event(sub))
+    else:
+        n.post_event(port, close_event(sub))
 
 
 @pytest.mark.parametrize("max_history", [None, 6])
@@ -542,36 +609,46 @@ def test_delivery_agrees_with_scan_reference(rng, max_history):
             n = build_random_node(r, node_cls, max_history)
             log = []
             for _ in range(25):
-                roll = r.random()
-                port = f"p{r.randrange(4)}"
-                try:
-                    if roll < 0.35:
-                        n.post_event(port, insert_event(doc(
-                            f"d{r.randrange(6)}", meta={"topic": r.choice(["news", "sports"])})))
-                    elif roll < 0.45:
-                        n.post_event(port, remove_event(doc(f"d{r.randrange(6)}")))
-                    elif roll < 0.7:
-                        n.post_event(port, receive_event("default", rand_filter_for(r)))
-                    elif roll < 0.8:
-                        n.post_event(port, suspend_event())
-                    elif roll < 0.9:
-                        n.post_event(port, resume_event())
-                    else:
-                        n.post_event(port, close_event())
-                except NodeError as err:
-                    log.append(("error", err.code))
+                # half the time a burst of posts lands between two drains,
+                # so a re-Receive can follow appends no poll has seen
+                for _ in range(1 if r.random() < 0.5 else r.randint(2, 4)):
+                    try:
+                        post_random(n, r)
+                    except NodeError as err:
+                        log.append(("error", err.code))
                 while True:
                     d = n.deliver_step()
                     if d is None:
                         break
                     log.append((d.port, d.subscription, d.event.kind, d.event.seq))
+            # exclusive offers reach the sinks outside the delivery steps
+            log.append([(name, [(e.kind, e.seq) for e in sink.got], sink.subscriptions)
+                        for name, sink in sorted(n.sinks.items())])
             logs.append(log)
         assert logs[0] == logs[1], f"round {round_no} seed {seed}"
 
 
-def rand_filter_for(r):
-    from conftest import rand_filter
-    return rand_filter(r, depth=2)
+@pytest.mark.parametrize("reference", [True, False])
+def test_a_walk_moves_the_cursors_it_passes_over(reference):
+    # a walk to a delivery moves the cursor of every armed, caught-up
+    # subscription it passes; a re-Receive starts from there, so the
+    # backlog it scans leaves out what the walk had already seen
+    from conftest import ScanNode
+    n = ScanNode() if reference else Node()
+    add_port(n, "in")
+    b = add_port(n, "b", auto_resume=True)
+    c = add_port(n, "c")
+    n.post_event("b", receive_event("default", parse_filter('meta.topic == "news"')))
+    n.post_event("c", receive_event("default", parse_filter('meta.topic == "sports"')))
+    drain(n)  # both caught up; b re-armed itself, c waits
+    n.post_event("c", resume_event())
+    n.post_event("in", insert_event(doc("x", meta={"topic": "sports"})))
+    # the walk to c passes b after x was appended
+    assert n.deliver_step().event.entry.name == "x"
+    n.post_event("b", receive_event("default", DOCS))
+    drain(n)
+    assert [e.kind for e in b.got] == [SUSPEND, SUSPEND]
+    assert [e.entry.name for e in c.got if e.entry is not None] == ["x"]
 
 
 def test_queue_of_a_paused_subscription_stays_bounded():
@@ -591,30 +668,6 @@ def test_queue_of_a_paused_subscription_stays_bounded():
 
 # ---------------------------------------------------------------------------
 # cost independent of the history's length
-
-def lines_run(modules, fn):
-    """Run ``fn`` and count the Python lines it executes inside ``modules``:
-    a measure of work that does not depend on the host's speed."""
-    files = {m.__file__ for m in modules}
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def call(frame, event, arg):
-        return local if frame.f_code.co_filename in files else None
-
-    previous = sys.gettrace()
-    sys.settrace(call)
-    try:
-        fn()
-    finally:
-        sys.settrace(previous)
-    return count
-
 
 def node_with_history(size):
     """A node whose history holds ``size`` document Inserts, three of them
@@ -666,6 +719,54 @@ def test_cancel_read_and_subscribe_work_does_not_grow_with_the_history(monkeypat
         read_cost = lines_run([history], lambda: h.read_after(h.last_seq - 10, TRUE))
         costs[size] = (remove_cost, read_cost)
     assert costs[1_000] == costs[10_000]
+
+
+def topic_node(ports):
+    """A node with ``ports`` topic-filtered ports, all caught up and
+    re-arming themselves the way classifier ports do, and an ``in`` port."""
+    n = Node()
+    add_port(n, "in")
+    sinks = []
+    for i in range(ports):
+        sinks.append(add_port(n, f"route-{i}", auto_resume=True,
+                              input_filter=parse_filter(f'meta.topic == "t{i}"')))
+        n.post_event(f"route-{i}", receive_event("default", DOCS))
+    drain(n, limit=3 * ports + 10)
+    return n, sinks
+
+
+def test_post_and_drain_work_does_not_grow_with_the_subscriptions(monkeypatch):
+    from npckit import filters, node as node_module
+    real_eval = filters.eval_filter
+    calls = []
+
+    def counting(f, ev):
+        calls.append(ev.seq)
+        return real_eval(f, ev)
+
+    costs = {}
+    for ports in (10, 1000):
+        n, sinks = topic_node(ports)
+        work = []
+        with monkeypatch.context() as m:
+            for module in (filters, node_module):
+                m.setattr(module, "eval_filter", counting)
+            for i in range(5):
+                calls.clear()
+                topic = f"t{(3 * i) % 10}"
+                lines = lines_run([node_module], lambda: (
+                    n.post_event("in", insert_event(doc(f"d{i}", meta={"topic": topic}))),
+                    drain(n)))
+                work.append((len(calls), lines))
+        got = {i: [e.entry.name for e in sink.got if e.kind == INSERT]
+               for i, sink in enumerate(sinks) if len(sink.got) > 1}
+        assert got == {0: ["d0"], 3: ["d1"], 6: ["d2"], 9: ["d3"], 2: ["d4"]}
+        costs[ports] = work
+    assert costs[10] == costs[1000]
+    # an idle node answers a delivery step in the same few lines
+    idle = {ports: lines_run([node_module], topic_node(ports)[0].deliver_step)
+            for ports in (10, 1000)}
+    assert idle[10] == idle[1000]
 
 
 # ---------------------------------------------------------------------------

@@ -170,3 +170,59 @@ def test_behavior_hooks_are_entered_only_through_the_server_choke_point():
                     and id(node) not in allowed):
                 bypasses.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert bypasses == []
+
+
+# -- a port's timers retire with it ---------------------------------------------------------
+
+@pytest.mark.parametrize("behavior, config, label", [
+    ("gc", {"every": "1"}, "gc-p"),
+    ("puller", {"every": "1", "source": "npc://nowhere:7070/root/admin"}, "pull-p"),
+], ids=["gc", "puller"])
+def test_removed_port_leaves_no_timer_and_can_be_inserted_again(behavior, config, label):
+    run = admin_run()
+    root = run.server("a").root
+    for _ in range(2):
+        run.send("c", insert_port("p", behavior, config))
+        assert run.take_replies("c")[0]["kind"] == "ack"
+        assert label in root.timers
+        run.send("c", {"kind": "cmd", "op": "remove", "name": "p"})
+        assert run.take_replies("c")[0]["kind"] == "ack"
+        assert label not in root.timers
+        last = root.history.last_seq
+        run.tick(10)
+        assert root.history.last_seq == last  # no Time event of a retired port
+
+
+# -- admin requests are checked before they can fault ---------------------------------------
+
+@pytest.mark.parametrize("op", ["get", "remove", "fetch", "abort"])
+@pytest.mark.parametrize("name", [[], {}, 7, None], ids=["list", "object", "int", "null"])
+def test_a_name_that_is_not_a_string_is_malformed(op, name):
+    run = admin_run()
+    server = run.server("a")
+    last = server.root.history.last_seq
+    run.send("c", {"kind": "cmd", "op": op, "name": name})
+    (reply,) = run.take_replies("c")
+    assert reply["kind"] == "error" and reply["code"] == "malformed", reply
+    assert server.faults == 0 and server.root.history.last_seq == last
+    assert (("root",), "admin") in server.behaviors
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert listed(run.take_replies("c")) == ["admin"]
+
+
+@pytest.mark.parametrize("name, code", [("admin", "name-taken"), ("doc", "name-taken"),
+                                        ("no/slash", "malformed"), (["q"], "malformed")],
+                         ids=["port", "document", "bad-name", "list"])
+def test_a_query_never_replaces_an_entry(name, code):
+    run = admin_run()
+    server = run.server("a")
+    run.send("c", {"kind": "cmd", "op": "insert",
+                   "entry": {"name": "doc", "kind": "document", "content_b64": ""}})
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    last, entries = server.root.history.last_seq, dict(server.root.entries)
+    run.send("c", {"kind": "cmd", "op": "query", "query": "true", "name": name})
+    (reply,) = run.take_replies("c")
+    assert reply["kind"] == "error" and reply["code"] == code, reply
+    assert server.root.history.last_seq == last and server.root.entries == entries
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert listed(run.take_replies("c")) == ["admin", "doc"]

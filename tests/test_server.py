@@ -4,10 +4,13 @@ import pytest
 
 from npckit.filters import parse_filter
 from npckit.gateways import LoopbackNetwork
-from npckit.history import INSERT, NODE_ORIGIN, insert_event, remove_event
+from npckit.history import INSERT, NODE_ORIGIN, insert_event, receive_event, remove_event
 from npckit.model import DOCUMENT, PORT, PortSpec, document_entry, port_entry
+from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import ConfigError, Server, ServerConfig
 from npckit.wire import event_to_json
+
+from conftest import lines_run
 
 
 class ManualClock:
@@ -406,6 +409,137 @@ def test_admin_query_local_streams_matches():
     leftovers = [n for n, e in s.root.entries.items() if e.kind == PORT
                  and n.startswith("query-")]
     assert leftovers == []
+
+
+def test_admin_query_local_reads_only_the_candidate_documents(monkeypatch):
+    from npckit import behaviors
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[ADMIN] + [doc(f"d{i:04d}", "x", topic=f"t{i % 100}")
+                                            for i in range(1000)])
+    client = FakeClient()
+    evaluated = []
+    real_eval = behaviors.eval_filter
+    monkeypatch.setattr(behaviors, "eval_filter",
+                        lambda f, ev: evaluated.append(ev.entry.name) or real_eval(f, ev))
+
+    def query(text):
+        evaluated.clear()
+        conn = connect(net, client, s)
+        conn.send({"kind": "cmd", "op": "query", "query": text})
+        s.settle()
+        replies = client.take()
+        return [r["event"]["entry"]["name"] for r in replies if r["kind"] == "event"]
+
+    wanted = 'meta.topic == "t7" and entry.name < "d0500"'
+    assert query(wanted) == ["d0007", "d0107", "d0207", "d0307", "d0407"]
+    assert len(evaluated) == 10  # the ten documents of topic t7
+    # the lookup follows later inserts, replacements and removals
+    root = s.root
+    root.post_event(NODE_ORIGIN, insert_event(document_entry("d0001", b"y", meta={"topic": "t7"})))
+    root.post_event(NODE_ORIGIN, insert_event(document_entry("d0107", b"y", meta={"topic": "t8"})))
+    root.post_event(NODE_ORIGIN, remove_event(root.entries["d0207"]))
+    root.post_event(NODE_ORIGIN, insert_event(port_entry("d0002", PortSpec("manual"),
+                                                         meta={"topic": "t7"})))
+    s.settle()
+    assert query(wanted) == ["d0001", "d0007", "d0307", "d0407"]
+    assert query('entry.name == "d0042"') == ["d0042"] and len(evaluated) == 1
+    # no required equality: every document is a candidate
+    assert len(query('meta.topic == "t7" or meta.topic == "t8"')) == 20
+    assert len(evaluated) == 998
+
+
+def spawn_mediated_query(s, q):
+    """Insert a mediated query port ``q`` and a wrapper port for it."""
+    s.root.post_event(NODE_ORIGIN, insert_event(port_entry(
+        q, PortSpec("query", {"mode": "mediated"}), meta={"query": "true"})))
+    s.settle()
+    s.root.post_event(NODE_ORIGIN, insert_event(port_entry(
+        f"w-{q}", PortSpec("manual"), meta={"reply-to": q})))
+    s.settle()
+
+
+def post_results(s, q, results):
+    for i in range(results):
+        s.root.post_event(NODE_ORIGIN, insert_event(document_entry(
+            f"{q}-r{i}", b"x", meta={"reply-to": q})))
+
+
+def test_mediated_query_work_per_result_does_not_grow_with_the_table():
+    from npckit import behaviors, node
+    costs = {}
+    for size in (10, 1000):
+        s = make_server(entries=[ADMIN] + [doc(f"d{i}", "x") for i in range(size)])
+        work = []
+        for q in ("q1", "q2"):  # the first lookup builds the reply-to map
+            spawn_mediated_query(s, q)
+            query = s.behavior_at(("root",), q)
+
+            def finish():
+                # the results and the wrapper's retirement arrive together
+                post_results(s, q, 3)
+                s.root.post_event(NODE_ORIGIN, remove_event(s.root.entries[f"w-{q}"]))
+                s.settle()
+            work.append(lines_run([behaviors, node], finish))
+            assert query.count == 3 and query.finished
+            assert [n for n in s.root.entries if n.startswith(("q", "w-"))] == []
+        # an aborted query removes its wrapper and its unsent results
+        spawn_mediated_query(s, "q3")
+        post_results(s, "q3", 3)
+
+        def abort():
+            s.root.post_event(NODE_ORIGIN, remove_event(s.root.entries["q3"]))
+            s.settle()
+        work.append(lines_run([behaviors, node], abort))
+        assert [n for n in s.root.entries if n.startswith(("q", "w-"))] == []
+        costs[size] = work[1:]
+    assert costs[10] == costs[1000]
+
+
+class Watcher(Behavior):
+    """Keeps receiving news documents and records what it is given."""
+
+    resume_on_suspend = True
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.got = []
+
+    def on_start(self) -> None:
+        self.ctx.receive("default", parse_filter('meta.topic == "news"'))
+
+    def on_event(self, ev, subscription: str) -> bool:
+        self.got.append(ev.entry.name if ev.entry is not None else ev.kind)
+        return False
+
+
+def test_a_drain_moves_caught_up_cursors_past_what_it_saw(monkeypatch):
+    # a drain that ends passes every subscription of every node, moving
+    # each caught-up cursor to the end of the history; a re-Receive starts
+    # there
+    monkeypatch.setitem(BEHAVIORS, "watcher", Watcher)
+    s = make_server(entries=[{"name": "w", "kind": "port", "behavior": "watcher"}])
+    s.settle()
+    watcher = s.behavior_at(("root",), "w")
+    s.root.post_event(NODE_ORIGIN, insert_event(document_entry("old", b"x")))
+    assert s.drain() == 0
+    s.root.post_event(NODE_ORIGIN, insert_event(document_entry("new", b"x")))
+    s.root.post_event("w", receive_event("default", parse_filter('entry.kind == "document"')))
+    s.settle()
+    assert watcher.got == ["new"]
+
+
+def test_idle_drain_work_does_not_grow_with_the_tree(monkeypatch):
+    from npckit import node, server
+    monkeypatch.setitem(BEHAVIORS, "watcher", Watcher)
+    costs = {}
+    for size in (10, 300):
+        s = make_server(entries=[
+            {"name": f"n{i}", "kind": "node",
+             "entries": [{"name": "w", "kind": "port", "behavior": "watcher"}]}
+            for i in range(size)])
+        s.settle()
+        costs[size] = lines_run([server, node], s.drain)
+    assert costs[10] == costs[300]
 
 
 # -- firewalls over loopback -----------------------------------------------------------
