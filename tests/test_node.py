@@ -10,7 +10,7 @@ from npckit.history import (CLOSE, Event, INSERT, NODE_ORIGIN, REMOVE, RESUME,
 from npckit.model import PortSpec, document_entry, port_entry
 from npckit.node import Node, NodeError, TimerSpec
 
-from conftest import lines_run
+from conftest import ScanNode, lines_run, rand_filter
 
 
 class Collector:
@@ -357,7 +357,6 @@ def test_ring_serves_subscriptions_round_robin():
 
 @pytest.mark.parametrize("reference", [True, False])
 def test_ring_wraps_when_its_start_leaves(reference):
-    from conftest import ScanNode
     n = ScanNode() if reference else Node()
     add_port(n, "in")
     for name in ["a", "b", "c"]:
@@ -551,7 +550,6 @@ def test_default_subscription_honors_receive_flag():
 def rand_access_filter(r):
     """A random filter, half the time behind a required equality on a field
     the filter index files subscriptions under."""
-    from conftest import rand_filter
     f = rand_filter(r, depth=2)
     if r.random() < 0.5:
         return f
@@ -599,7 +597,6 @@ def post_random(n, r):
 
 @pytest.mark.parametrize("max_history", [None, 6])
 def test_delivery_agrees_with_scan_reference(rng, max_history):
-    from conftest import ScanNode
     for round_no in range(30):
         seed = rng.randrange(1 << 30)
         import random as _random
@@ -633,7 +630,6 @@ def test_a_walk_moves_the_cursors_it_passes_over(reference):
     # a walk to a delivery moves the cursor of every armed, caught-up
     # subscription it passes; a re-Receive starts from there, so the
     # backlog it scans leaves out what the walk had already seen
-    from conftest import ScanNode
     n = ScanNode() if reference else Node()
     add_port(n, "in")
     b = add_port(n, "b", auto_resume=True)
