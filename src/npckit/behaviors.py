@@ -244,8 +244,10 @@ class AdminBehavior(Behavior):
             # a client-chosen name never replaces an entry
             _err(conn, "name-taken", f"entry {name!r} exists")
             return
-        self._hand_over(conn, port_entry(name, PortSpec("query", {"mode": mode}),
-                                         meta={"query": text}))
+        # every result and wrapper it waits for is posted after the port
+        # exists, so its subscriptions start at the end of the history
+        spec = PortSpec("query", {"mode": mode}, cursor=self.ctx.node.history.last_seq + 1)
+        self._hand_over(conn, port_entry(name, spec, meta={"query": text}))
 
     def _op_abort(self, conn, msg: dict) -> None:
         name = msg.get("name", "")

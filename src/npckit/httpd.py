@@ -109,6 +109,11 @@ def http_request(server, method: str, raw_path: str, body: bytes = b"",
             if node is None:
                 done.put((404, b"no such node\n"))
                 return
+            current = node.entries.get(name)
+            if current is not None and current.kind != DOCUMENT:
+                # only documents are visible here: a PUT never replaces a port
+                done.put((404, b"not found\n"))
+                return
             entry = document_entry(name, body, media)
             node.post_event(NODE_ORIGIN, insert_event(entry))
             done.put((201, b"created\n"))

@@ -21,8 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .filters import And, FilterExpr, TRUE, FilterIndex, ValueMap, entry_field, eval_filter
-from .history import (CLOSE, Event, EventHistory, INSERT, KINDS, NODE_ORIGIN,
-                      RECEIVE, REMOVE, RESUME, SUSPEND, TIME, is_exclusive)
+from .history import (Event, EventHistory, INSERT, KINDS, NODE_ORIGIN, REMOVE,
+                      SUSPEND, TIME, is_exclusive)
 from .model import Entry, NODE, PORT, PortSpec
 
 
@@ -60,6 +60,14 @@ class Subscription:
     @property
     def key(self) -> tuple[str, str]:
         return (self.port, self.name)
+
+
+@dataclass
+class Holdings:
+    """What one port owns on its node, released as one when it retires."""
+
+    subs: dict = field(default_factory=dict)  # name -> Subscription
+    timers: set = field(default_factory=set)  # labels
 
 
 class ReadyRing:
@@ -146,6 +154,7 @@ class Node:
         self.subs: dict[tuple[str, str], Subscription] = {}
         self.sinks: dict[str, object] = {}
         self.timers: dict[str, TimerSpec] = {}
+        self.held: dict[str, Holdings] = {}  # port name -> what it owns
         self.attachments: dict[str, dict] = {}
         self.index = FilterIndex()
         self.tracer = tracer
@@ -216,20 +225,12 @@ class Node:
             if not eval_filter(spec.output_filter, ev):
                 raise NodeError("rejected-filter", f"{ev.kind} from {from_port}")
 
-        handler = {
-            RECEIVE: self._post_receive,
-            SUSPEND: self._post_suspend,
-            RESUME: self._post_resume,
-            CLOSE: self._post_close,
-            INSERT: self._post_insert,
-            REMOVE: self._post_remove,
-            TIME: self._post_time,
-        }[ev.kind]
-        return handler(from_port, ev)
-
-    def _initial_cursor(self, port: str) -> int:
-        spec = self.port_spec(port)
-        return spec.cursor if spec is not None else 1
+        # each kind of event has its handler, _post_<kind>
+        stamped = getattr(self, "_post_" + ev.kind.lower())(from_port, ev)
+        if ev.kind in (INSERT, REMOVE, TIME) and stamped is not None and is_exclusive(stamped):
+            # offered once the event's other effects (spawns, drops) are done
+            self.deliver_exclusive(stamped)
+        return stamped
 
     def _sub_for(self, from_port: str, ev: Event) -> tuple[Subscription, bool]:
         name = ev.subscription or "default"
@@ -237,7 +238,8 @@ class Node:
         sub = self.subs.get(key)
         if sub is not None:
             return sub, False
-        sub = Subscription(from_port, name, TRUE, cursor=self._initial_cursor(from_port))
+        spec = self.port_spec(from_port)
+        sub = Subscription(from_port, name, TRUE, cursor=spec.cursor if spec is not None else 1)
         self._add_sub(sub)
         return sub, True
 
@@ -252,7 +254,6 @@ class Node:
         self._index(sub)
         self._refresh(sub)
         self._trace("post", f"Receive {sub.name}", actor=self._port_actor(from_port))
-        return None
 
     def _post_suspend(self, from_port: str, ev: Event) -> None:
         key = (from_port, ev.subscription or "default")
@@ -260,9 +261,7 @@ class Node:
         if sub is not None:
             sub.flag = False
             self._refresh(sub)
-        self._trace("post", f"Suspend {ev.subscription or 'default'}",
-                    actor=self._port_actor(from_port))
-        return None
+        self._trace("post", f"Suspend {key[1]}", actor=self._port_actor(from_port))
 
     def _post_resume(self, from_port: str, ev: Event) -> Event | None:
         sub, created = self._sub_for(from_port, ev)
@@ -274,8 +273,7 @@ class Node:
         if self._peek(sub) is None:
             # nothing left to deliver: record the Resume so interested
             # in-ports can react to fresh demand
-            stamped = self._append(replace(ev, subscription=sub.name))
-            return stamped
+            return self._append(replace(ev, subscription=sub.name))
         return None
 
     def _post_close(self, from_port: str, ev: Event) -> Event:
@@ -301,8 +299,6 @@ class Node:
             self.on_port_inserted(ev.entry)
         if ev.entry.kind == NODE and self.on_node_inserted is not None:
             self.on_node_inserted(ev.entry)
-        if is_exclusive(stamped):
-            self.deliver_exclusive(stamped)
         return stamped
 
     def _post_remove(self, from_port: str, ev: Event) -> Event | None:
@@ -321,15 +317,10 @@ class Node:
         stamped = self._append(ev)
         if current.kind == PORT:
             self._drop_port(name, current)
-        if is_exclusive(stamped):
-            self.deliver_exclusive(stamped)
         return stamped
 
     def _post_time(self, from_port: str, ev: Event) -> Event:
-        stamped = self._append(ev)
-        if is_exclusive(stamped):
-            self.deliver_exclusive(stamped)
-        return stamped
+        return self._append(ev)
 
     def _port_actor(self, port: str) -> str:
         if port == NODE_ORIGIN:
@@ -374,10 +365,14 @@ class Node:
 
     # -- port lifecycle ------------------------------------------------------
 
+    def _holdings(self, port: str) -> Holdings:
+        return self.held.setdefault(port, Holdings())
+
     def _drop_port(self, name: str, entry: Entry | None) -> None:
-        for key in [k for k in self.subs if k[0] == name]:
-            self._remove_sub(key)
-        for label in [label for label, t in self.timers.items() if t.port == name]:
+        """Release what the port holds, and nothing else."""
+        for sub in list(self._holdings(name).subs.values()):
+            self._remove_sub(sub.key)
+        for label in self.held.pop(name).timers:
             del self.timers[label]
         self.sinks.pop(name, None)
         self.attachments.pop(name, None)
@@ -401,9 +396,11 @@ class Node:
         self._tickets += 1
         sub.ticket = self._tickets
         self.subs[sub.key] = sub
+        self._holdings(sub.port).subs[sub.name] = sub
 
     def _remove_sub(self, key: tuple[str, str]) -> None:
         sub = self.subs.pop(key)
+        del self.held[sub.port].subs[sub.name]
         self.index.unregister(key)
         if sub.ready:
             self._file_ready(sub, False)
@@ -599,6 +596,8 @@ class Node:
         else:
             raise NodeError("bad-timer", "timer needs every or at")
         self.timers[timer.label] = timer
+        if timer.port is not None:
+            self._holdings(timer.port).timers.add(timer.label)
 
     def tick(self, now: int) -> list[Event]:
         """Post a Time event for every firing due at ``now``. Periodic
@@ -612,6 +611,8 @@ class Node:
                     timer.next_fire += timer.every
                 else:
                     del self.timers[label]
+                    if timer.port is not None:
+                        self.held[timer.port].timers.discard(label)
                     timer = None
         return fired
 
@@ -633,8 +634,5 @@ class Node:
             if self.history.is_consumed(ev.seq):
                 continue
             out.append(ev)
-        return out, last, self._peek_pull(pos, filt)
-
-    def _peek_pull(self, pos: int, filt: FilterExpr) -> bool:
         ev, _ = self.history.read_after(pos, filt)
-        return ev is None
+        return out, last, ev is None

@@ -15,7 +15,7 @@ stop the server.
 from __future__ import annotations
 
 from .filters import FilterExpr
-from .history import NODE_ORIGIN, close_event, receive_event, remove_event, resume_event
+from .history import NODE_ORIGIN, receive_event, remove_event, resume_event
 from .model import EntryUrl
 
 
@@ -27,6 +27,7 @@ class PortContext:
         self.node = node
         self.name = name
         self.attachment = attachment or {}
+        self.conns: dict = {}  # id -> the connections this port owns
 
     # -- introspection -------------------------------------------------------
 
@@ -59,9 +60,6 @@ class PortContext:
 
     def resume(self, subscription: str = "default"):
         return self.post(resume_event(subscription))
-
-    def close(self, subscription: str = "default"):
-        return self.post(close_event(subscription))
 
     def self_remove(self) -> None:
         """Retire this port.  Issued by the node rather than through the

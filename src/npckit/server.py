@@ -143,6 +143,7 @@ class Server:
     def __init__(self, config: ServerConfig, network=None, clock=None,
                  tracer=None, real: bool = False):
         self.config = config
+        self.host = config.host
         self.network = network
         self.real = real
         self.clock = clock or (lambda: int(time.time() * 1000))
@@ -152,7 +153,6 @@ class Server:
         self._deferred: list[tuple] = []
         self.faults = 0
         self.inbound: queue.Queue = queue.Queue()
-        self.conns: dict[int, object] = {}
         self.stubs: dict[str, object] = {}
         self._query_counter = 0
         self._ready = ReadyRing()  # of nodes, ticketed in creation order
@@ -176,14 +176,6 @@ class Server:
 
     def url_for(self, node: Node) -> EntryUrl:
         return EntryUrl(self.config.host, self.advertised_port, node.path)
-
-    @property
-    def root(self) -> Node:
-        return self.nodes[(self.config.root_name,)]
-
-    @property
-    def host(self) -> str:
-        return self.config.host
 
     def _trace(self, action: str, detail: str) -> None:
         if self.tracer is not None:
@@ -215,8 +207,8 @@ class Server:
                 self.stubs[name] = repo
             else:
                 raise ConfigError(f"config.stubs.{name}", f"unknown stub type {kind!r}")
-        root = self._make_node((self.config.root_name,))
-        self._populate(root, self.config.entries)
+        self.root = self._make_node((self.config.root_name,))
+        self._populate(self.root, self.config.entries)
 
     def _populate(self, node: Node, defs: list) -> None:
         for entry, children in defs:
@@ -248,16 +240,17 @@ class Server:
         if entry.payload.receive_flag:
             node.create_default_subscription(entry.name, entry.payload)
         if attachment and "conn" in attachment:
-            attachment["conn"].owner = key
+            self._hand_over(attachment["conn"], key)
         self._hook(b, "on_start")
 
     def _stop_port(self, node: Node, name: str) -> None:
-        key = (node.path, name)
-        b = self.behaviors.pop(key, None)
+        """Retire the port's behavior and close the connections it owns."""
+        b = self.behaviors.pop((node.path, name), None)
         if b is not None:
             self._hook(b, "on_stop", "removed")
-        for conn in [c for c in self.conns.values() if c.owner == key]:
-            self.release_conn(conn)
+            conns, b.ctx.conns = b.ctx.conns, {}
+            for conn in conns.values():
+                conn.close()
 
     def _hook(self, b, hook: str, *args):
         """Run ``b``'s method ``hook``: the one way into behavior code.
@@ -300,7 +293,6 @@ class Server:
                                                             "npc-tcp"):
             conn.close()
             return False
-        self.conns[conn.id] = conn
         self._trace("accept", conn.label)
         return True
 
@@ -341,14 +333,29 @@ class Server:
         if conn is None:
             self._trace("dial-failed", f"{url.host}:{url.tcp_port} unreachable")
             return None
-        conn.owner = owner
-        self.conns[conn.id] = conn
+        self._hand_over(conn, owner)
         conn.send({"kind": HELLO, "target": url.text()})
         self._trace("send", f"hello -> {url.text()}")
         return conn
 
+    def _hand_over(self, conn, key: tuple | None) -> None:
+        """Make the port at ``key`` the owner of ``conn``: the one way a
+        connection changes hands.  Its messages then go to that port, and
+        the port's retirement closes it."""
+        self._disown(conn)
+        conn.owner = key
+        b = self.behaviors.get(key)
+        if b is not None:
+            b.ctx.conns[conn.id] = conn
+
+    def _disown(self, conn) -> None:
+        """Take ``conn`` out of its owner's record, but not from its owner."""
+        b = self.behaviors.get(conn.owner)
+        if b is not None:
+            b.ctx.conns.pop(conn.id, None)
+
     def release_conn(self, conn) -> None:
-        self.conns.pop(conn.id, None)
+        self._disown(conn)
         conn.close()
 
     def stub(self, name: str, requester: str = ""):
@@ -377,13 +384,10 @@ class Server:
     def pump(self) -> int:
         """Handle every queued inbound message; returns how many."""
         handled = 0
-        while True:
-            try:
-                item = self.inbound.get_nowait()
-            except queue.Empty:
-                return handled
-            self._dispatch(item)
+        while self.inbound.qsize():
+            self._dispatch(self.inbound.get_nowait())
             handled += 1
+        return handled
 
     def handle_message(self, conn, msg: dict) -> None:
         kind = msg.get("kind")
@@ -395,9 +399,7 @@ class Server:
             if kind == HELLO:
                 self._handle_hello(conn, msg)
             else:
-                conn.send({"kind": ERROR, "code": "no-hello",
-                           "message": "first frame must be hello"})
-                self.release_conn(conn)
+                self._refuse(conn, "no-hello", "first frame must be hello")
             return
         b = self.behaviors.get(conn.owner)
         if b is None:
@@ -411,31 +413,28 @@ class Server:
         try:
             url = parse_url(target if isinstance(target, str) else "")
         except UrlError:
-            conn.send({"kind": ERROR, "code": "not-found", "message": f"bad target {target!r}"})
-            self.release_conn(conn)
+            self._refuse(conn, "not-found", f"bad target {target!r}")
             return
         if len(url.path) < 2:
-            conn.send({"kind": ERROR, "code": "not-found",
-                       "message": "hello target must be a port"})
-            self.release_conn(conn)
+            self._refuse(conn, "not-found", "hello target must be a port")
             return
-        node = self.nodes.get(url.path[:-1])
-        port_name = url.name
-        key = (url.path[:-1], port_name)
-        if node is None or key not in self.behaviors:
-            conn.send({"kind": ERROR, "code": "not-found", "message": f"no port at {target}"})
-            self.release_conn(conn)
+        key = (url.path[:-1], url.name)
+        if key not in self.behaviors:
+            self._refuse(conn, "not-found", f"no port at {target}")
             return
-        conn.owner = key
-        conn.send({"kind": HELLO, "node": self.url_for(node).text()})
+        self._hand_over(conn, key)
+        conn.send({"kind": HELLO, "node": self.url_for(self.nodes[key[0]]).text()})
+
+    def _refuse(self, conn, code: str, message: str) -> None:
+        conn.send({"kind": ERROR, "code": code, "message": message})
+        self.release_conn(conn)
 
     def _handle_bye(self, conn) -> None:
         conn.closed = True
-        if conn.owner is not None:
-            b = self.behaviors.get(conn.owner)
-            if b is not None:
-                self._hook(b, "on_external", conn, {"kind": BYE})
-        self.conns.pop(conn.id, None)
+        b = self.behaviors.get(conn.owner)
+        if b is not None:
+            self._hook(b, "on_external", conn, {"kind": BYE})
+        self._disown(conn)
 
     # -- driving ------------------------------------------------------------------------
 
@@ -477,23 +476,29 @@ class Server:
 
     def tick_timers(self, now: int | None = None) -> int:
         t = self.clock() if now is None else now
-        fired = 0
-        for node in list(self.nodes.values()):
-            fired += len(node.tick(t))
-        return fired
+        return sum(len(node.tick(t)) for node in list(self.nodes.values()))
+
+    def run_once(self, limit: int = 100000) -> int:
+        """One pass of the driving loop, the only one there is: handle the
+        inbound queue, deliver what is due, run deferred work.  Returns how
+        much moved; 0 means the server is idle until something arrives or
+        a timer fires."""
+        return self.pump() + self.drain(limit) + self.step_behaviors()
 
     def settle(self, limit: int = 100000) -> int:
-        """Pump, drain, and step until nothing moves. Single-server only;
+        """Run passes until nothing moves. Single-server only;
         multi-server setups settle through the sim loop."""
         total = 0
-        while total <= limit:
-            did = self.pump()
-            did += self.drain(limit)
-            did += self.step_behaviors()
+        while did := self.run_once(limit):
             total += did
-            if did == 0:
-                return total
-        raise RuntimeError("server did not settle within limit")
+            if total > limit:
+                raise RuntimeError("server did not settle within limit")
+        return total
+
+    def _next_deadline(self) -> int | None:
+        """When the earliest timer of any node fires; None without timers."""
+        return min((t.next_fire for node in self.nodes.values()
+                    for t in node.timers.values()), default=None)
 
     # -- real mode ----------------------------------------------------------------------
 
@@ -502,8 +507,7 @@ class Server:
         from .gateways import TcpListener
         from .httpd import HttpFacade
         self.listener = TcpListener("0.0.0.0", self.config.npc_tcp_port, self)
-        self.advertised_port = self.listener.port if self.config.npc_tcp_port == 0 \
-            else self.config.npc_tcp_port
+        self.advertised_port = self.listener.port  # the one bound, when asked for 0
         self.listener.start()
         if self.config.http_port is not None:
             self.httpd = HttpFacade(self, "0.0.0.0", self.config.http_port)
@@ -512,16 +516,18 @@ class Server:
         self._driver.start()
 
     def _drive(self) -> None:
+        """Fire due timers and run passes; only when a pass moves nothing,
+        block on the inbound queue until the next item or the next timer."""
         while not self._stopping:
-            try:
-                item = self.inbound.get(timeout=0.05)
-                self._dispatch(item)
-            except queue.Empty:
-                pass
-            self.pump()
-            self.drain()
-            self.step_behaviors()
             self.tick_timers()
+            if self.run_once() == 0:
+                deadline = self._next_deadline()
+                try:
+                    item = self.inbound.get(timeout=None if deadline is None else
+                                            max(0, deadline - self.clock()) / 1000)
+                except queue.Empty:
+                    continue
+                self._dispatch(item)
 
     def stop(self) -> None:
         self._stopping = True
@@ -530,4 +536,5 @@ class Server:
         if self.httpd is not None:
             self.httpd.stop()
         if self._driver is not None:
+            self.run_soon(lambda: None)  # wakes a driver blocked on the queue
             self._driver.join(timeout=2)

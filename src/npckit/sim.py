@@ -116,17 +116,17 @@ class SimRun:
         if self.steps_used > BUDGET:
             raise SimError(f"step budget exceeded ({BUDGET})")
 
+    def round(self) -> int:
+        """One pass of every server, in the order they were added; returns
+        how much moved anywhere."""
+        moved = sum(s.run_once(BUDGET) for s in self.servers.values())
+        self._spend(max(moved, 1))
+        return moved
+
     def quiesce(self) -> None:
-        """Run every server until a full round moves nothing anywhere."""
-        while True:
-            moved = 0
-            for s in self.servers.values():
-                moved += s.pump()
-                moved += s.drain(BUDGET)
-                moved += s.step_behaviors()
-            self._spend(max(moved, 1))
-            if moved == 0:
-                return
+        """Run rounds until one moves nothing anywhere."""
+        while self.round():
+            pass
 
     def tick(self, dt: int = 1) -> None:
         self.clock.advance(dt)
@@ -179,11 +179,7 @@ def apply_stimulus(run: SimRun, stim: dict) -> None:
         run.tick(stim.get("dt", 1))
     elif do == "steps":
         for _ in range(stim.get("n", 1)):
-            for s in run.servers.values():
-                s.pump()
-                s.drain(BUDGET)
-                s.step_behaviors()
-            run._spend(1)
+            run.round()
     elif do == "post":
         s = run.server(stim["server"])
         node = s.nodes.get(tuple(stim.get("node", (s.config.root_name,))))

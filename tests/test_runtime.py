@@ -6,16 +6,18 @@ import time
 
 import pytest
 
+from npckit.apps import build_preset
 from npckit.cli import NpcClient
 from npckit.history import NODE_ORIGIN, REMOVE
-from npckit.model import PortSpec, port_entry
+from npckit.model import PORT, PortSpec, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import Server, ServerConfig
-from npckit.sim import SimRun
+from npckit.sim import SimRun, apply_stimulus
 from npckit.wire import entry_to_json
 
 ADMIN = {"name": "admin", "kind": "port", "behavior": "admin"}
 HOOKS = {"on_start", "on_event", "on_external", "on_stop"}
+LOOP = {"pump", "drain", "step_behaviors"}
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "npckit"
 
 
@@ -226,3 +228,130 @@ def test_a_query_never_replaces_an_entry(name, code):
     assert server.root.history.last_seq == last and server.root.entries == entries
     run.send("c", {"kind": "cmd", "op": "list"})
     assert listed(run.take_replies("c")) == ["admin", "doc"]
+
+
+def test_http_put_never_replaces_a_port():
+    run = SimRun()
+    for config in build_preset("doc-server"):
+        run.add_server(config)
+    run.quiesce()
+    server = run.server("web")
+    last = server.root.history.last_seq
+    apply_stimulus(run, {"do": "http", "server": "web", "method": "PUT", "path": "/root/admin",
+                         "body_text": "not a port", "content_type": "text/plain"})
+    assert run.http[-1][0] == 404
+    assert server.root.entries["admin"].kind == PORT
+    assert server.root.history.last_seq == last
+    run.connect("c", "npc://web:7070/root/admin")
+    run.take_replies("c")
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert listed(run.take_replies("c")) == ["admin", "welcome"]
+
+
+# -- one driving loop -----------------------------------------------------------------------
+
+def inside(tree, cls_name: str, fn_name: str | None = None) -> set:
+    """ids of the AST nodes in class ``cls_name``, or in its method ``fn_name``."""
+    found = set()
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls_name):
+        for fn in [cls] if fn_name is None else cls.body:
+            if fn_name is None or isinstance(fn, ast.FunctionDef) and fn.name == fn_name:
+                found.update(id(n) for n in ast.walk(fn))
+    return found
+
+
+def test_the_driving_loop_is_written_once():
+    """Every loop (settle, the sim's rounds, the real-mode driver) runs
+    passes of ``Server.run_once``; nothing else calls its parts."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = inside(tree, "Server", "run_once")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in LOOP and id(node) not in allowed):
+                calls.append(f"{path.name}:{node.lineno} .{node.func.attr}()")
+    assert calls == []
+
+
+def test_connections_are_recorded_only_by_the_ports_that_own_them():
+    """A port's connections live in its context; no table of every
+    connection exists for a server (the sim keeps its scripted clients'
+    ends, by stimulus id, in ``SimRun.conns``)."""
+    tables = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = inside(tree, "PortContext") | inside(tree, "SimRun")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "conns" and id(node) not in allowed
+                    and not (isinstance(node.value, ast.Attribute) and node.value.attr == "ctx")):
+                tables.append(f"{path.name}:{node.lineno}")
+    assert tables == []
+    assert not hasattr(admin_run().server("a"), "conns")
+
+
+def real_server() -> Server:
+    config = {"host": "127.0.0.1", "npc_tcp_port": 0, "root": {"entries": [ADMIN]}}
+    return Server(ServerConfig.from_dict(config), real=True)
+
+
+def test_the_driver_blocks_only_when_idle_and_until_the_next_timer():
+    server = real_server()
+    waits = []  # (timeout, anything ready, anything deferred) of each block
+    get = server.inbound.get
+
+    def recording_get(block=True, timeout=None):
+        if block:
+            waits.append((timeout, bool(server._ready.ready), bool(server._deferred)))
+        return get(block, timeout)
+
+    server.inbound.get = recording_get
+    server.start()
+    try:
+        deadline = time.monotonic() + 5
+        while not waits:
+            assert time.monotonic() < deadline, "the driver never blocked"
+            time.sleep(0.01)
+        idle = len(waits)
+        time.sleep(0.3)
+        # no timers: one wait with no timeout, and no turn while idle
+        assert len(waits) == idle and waits[-1][0] is None
+        client = NpcClient(f"npc://127.0.0.1:{server.advertised_port}/root/admin", timeout=5)
+        try:
+            reply = client.roundtrip(insert_port("gc1", "gc", {"every": "200"}))
+            assert reply["kind"] == "ack", reply
+            time.sleep(0.5)
+        finally:
+            client.close()
+    finally:
+        server.stop()
+    assert not server._driver.is_alive()
+    timed = [timeout for timeout, _, _ in waits[idle:] if timeout is not None]
+    assert timed and all(0 <= timeout <= 0.2 for timeout in timed)
+    assert not any(ready or deferred for _, ready, deferred in waits)
+
+
+@pytest.mark.parametrize("behavior, config, label", [
+    ("gc", {"every": "1000"}, "gc-p"),
+    # nothing listens on port 1 of this host: each pull fails at once
+    ("puller", {"every": "1000", "source": "npc://127.0.0.1:1/root/admin"}, "pull-p"),
+], ids=["gc", "puller"])
+def test_removed_port_can_be_inserted_again_over_tcp(behavior, config, label):
+    server = real_server()
+    server.start()
+    try:
+        client = NpcClient(f"npc://127.0.0.1:{server.advertised_port}/root/admin", timeout=5)
+        try:
+            for _ in range(2):
+                reply = client.roundtrip(insert_port("p", behavior, config))
+                assert reply["kind"] == "ack", reply
+                assert label in server.root.timers
+                reply = client.roundtrip({"kind": "cmd", "op": "remove", "name": "p"})
+                assert reply["kind"] == "ack", reply
+                assert label not in server.root.timers and "p" not in server.root.held
+            assert listed([client.roundtrip({"kind": "cmd", "op": "list"})]) == ["admin"]
+        finally:
+            client.close()
+    finally:
+        server.stop()
+    assert not server._driver.is_alive()

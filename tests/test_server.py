@@ -669,7 +669,8 @@ def test_bye_reaches_owning_behavior():
     settle_all(a, b)
     fwd = a.behavior_at(("root",), "fwd")
     assert fwd.conn is not None
-    b.release_conn(next(iter(b.conns.values())))
+    (conn,) = b.behavior_at(("root",), "in").ctx.conns.values()
+    b.release_conn(conn)
     settle_all(a, b)
     assert fwd.conn is None
     # and traffic resumes over a fresh channel
@@ -689,8 +690,93 @@ def test_port_removal_closes_owned_conns():
     ])
     a.root.post_event(NODE_ORIGIN, insert_event(document_entry("one", b"1")))
     settle_all(a, b)
-    assert len(a.conns) == 1
+    fwd = a.behavior_at(("root",), "fwd")
+    assert list(fwd.ctx.conns.values()) == [fwd.conn]
     a.root.post_event(NODE_ORIGIN, remove_event(a.root.entries["fwd"]))
     settle_all(a, b)
-    assert a.conns == {}
+    assert fwd.ctx.conns == {} and fwd.conn.closed
     assert a.behavior_at(("root",), "fwd") is None
+    # the far end heard the bye and let the connection go
+    assert b.behavior_at(("root",), "in").ctx.conns == {}
+
+
+# -- a port owns what it holds ------------------------------------------------------------
+
+def test_a_mediated_query_port_scans_no_history_when_it_starts():
+    # every result and wrapper it waits for is posted after it exists
+    from npckit import behaviors, history, node
+    costs = {}
+    for size in (10, 1000):
+        net = LoopbackNetwork()
+        s = make_server(net, entries=[{**ADMIN, "config": {"query_mode": "mediated"}}]
+                        + [doc(f"d{i}", "x") for i in range(size)])
+        conn = connect(net, FakeClient(), s)
+        live = len(s.root.history)
+
+        def query():
+            conn.send({"kind": "cmd", "op": "query", "query": "true"})
+            s.settle()
+        costs[live] = lines_run([behaviors, node, history], query)
+        query_port = s.behavior_at(("root",), "query-1")
+        assert query_port is not None and not query_port.finished
+    assert list(costs) == [11, 1001]
+    assert costs[11] == costs[1001]
+
+
+class Ticking(Behavior):
+    """Holds one subscription and one timer."""
+
+    def on_start(self) -> None:
+        self.ctx.receive("default", parse_filter(f'event.label == "t-{self.ctx.name}"'))
+        self.ctx.schedule(f"t-{self.ctx.name}", every=10)
+
+
+def test_retiring_a_port_releases_only_what_it_holds(monkeypatch):
+    from npckit import node, server
+    monkeypatch.setitem(BEHAVIORS, "ticking", Ticking)
+    costs = {}
+    for size in (10, 1000):
+        s = make_server(entries=[{"name": f"p{i}", "kind": "port", "behavior": "ticking"}
+                                 for i in range(size)])
+        s.settle()
+        root = s.root
+        assert len(root.subs) == len(root.timers) == size
+
+        def remove():
+            root.post_event(NODE_ORIGIN, remove_event(root.entries["p3"]))
+        costs[size] = lines_run([node, server], remove)
+        assert ("p3", "default") not in root.subs and "t-p3" not in root.timers
+        assert "p3" not in root.held and s.behavior_at(("root",), "p3") is None
+        assert len(root.subs) == len(root.timers) == size - 1
+    assert costs[10] == costs[1000]
+
+
+def test_closed_connections_leave_their_owners_record():
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[ADMIN])
+    admin = s.behavior_at(("root",), "admin")
+    for _ in range(50):
+        conn = connect(net, FakeClient(), s)
+        assert list(admin.ctx.conns.values()) == [conn._peer]
+        conn.close()
+        s.settle()
+        assert admin.ctx.conns == {}
+
+
+def test_fetch_hands_the_connection_over_to_the_request_port():
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[ADMIN])
+    client = FakeClient()
+    conn = connect(net, client, s)
+    admin = s.behavior_at(("root",), "admin")
+    (theirs,) = admin.ctx.conns.values()
+    conn.send({"kind": "cmd", "op": "fetch", "name": "ghost"})
+    s.pump()  # the request port has started; its answer waits for a delivery
+    (key,) = [k for k in s.behaviors if k[1].startswith("req-")]
+    request = s.behaviors[key]
+    assert admin.ctx.conns == {}
+    assert list(request.ctx.conns.values()) == [theirs] and theirs.owner == key
+    s.settle()
+    assert [r["kind"] for r in client.take()] == ["error", "bye"]
+    assert key not in s.behaviors and request.ctx.conns == {} and theirs.closed
+    assert admin.ctx.conns == {}
