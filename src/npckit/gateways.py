@@ -10,14 +10,25 @@ peer, which is also what a dropped TCP connection turns into.
 from __future__ import annotations
 
 import itertools
+import selectors
 import socket
 import threading
 
 from .filters import eval_filter, parse_filter
 from .history import Event, INSERT
-from .wire import FrameBuffer, WireError, bye_frame, encode_frame, read_frame
+from .wire import ERROR, FrameBuffer, WireError, bye_frame, encode_frame
 
+RECV_SIZE = 65536
 _conn_ids = itertools.count(1)
+
+
+def _frame(msg: dict) -> bytes:
+    """``msg`` as a frame, or, when it is too big to frame, an ``oversize``
+    error in its place: a reply that cannot be sent still answers."""
+    try:
+        return encode_frame(msg)
+    except WireError as e:
+        return encode_frame({"kind": ERROR, "code": e.code})
 
 
 class Conn:
@@ -53,7 +64,7 @@ class LoopbackConn(Conn):
         if self.closed or self._peer is None or self._peer.closed:
             return False
         buf = FrameBuffer()
-        buf.feed(encode_frame(msg))
+        buf.feed(_frame(msg))
         decoded = buf.pop()
         self._put(self._peer, decoded)
         return True
@@ -114,122 +125,136 @@ class LoopbackNetwork:
 
 
 class TcpConn(Conn):
-    """Socket-backed channel end; a daemon thread reads frames into the
-    owning server's inbound queue.
+    """Socket-backed channel end on the driver's selector.
 
-    Only that reader thread closes the socket, once ``recv`` has returned
-    and holding the write lock, so no other thread can be inside a call on
-    the descriptor when its number is freed for reuse."""
+    The driver thread reads the socket when the selector reports it
+    readable, writes it and closes it; no other thread touches it, so its
+    descriptor is never freed while another call on it is in flight."""
 
-    def __init__(self, label: str, sock: socket.socket, enqueue):
+    def __init__(self, label: str, sock: socket.socket, enqueue, selector):
         super().__init__(label)
         self._sock = sock
         self._enqueue = enqueue
-        self._wlock = threading.Lock()
-        self._thread = threading.Thread(target=self._read_loop, daemon=True)
+        self._selector = selector
+        self._frames = FrameBuffer()
+        selector.register(sock, selectors.EVENT_READ, self)
 
-    def start(self) -> None:
-        self._thread.start()
-
-    def _read_loop(self) -> None:
+    def on_readable(self) -> None:
+        """Feed one ``recv`` to the frame buffer and queue every whole
+        frame; at the end of the stream, or on a bad frame, queue a bye
+        and close."""
         try:
-            while True:
-                msg = read_frame(self._sock.recv)
-                if msg is None:
-                    break
-                self._enqueue(self, msg)
+            data = self._sock.recv(RECV_SIZE)
+            if data:
+                self._frames.feed(data)
+                while (msg := self._frames.pop()) is not None:
+                    self._enqueue(self, msg)
+                return
         except (WireError, OSError):
             pass
         # end of stream, clean or not: the server sees a bye either way
         if not self.closed:
             self.closed = True
             self._enqueue(self, {"v": 1, "kind": "bye"})
-        with self._wlock:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+        self._release()
 
     def send(self, msg: dict) -> bool:
         if self.closed:
             return False
         try:
-            with self._wlock:
-                self._sock.sendall(encode_frame(msg))
+            self._sock.sendall(_frame(msg))
             return True
         except OSError:
             self.closed = True
+            self._release()
             return False
 
     def close(self) -> None:
-        """Say bye and shut the socket down; the reader thread then sees
-        the end of the stream and closes the descriptor."""
-        if self.closed:
-            return
-        self.closed = True
-        with self._wlock:
+        """Say bye, unless either end already has, and close the socket."""
+        if not self.closed:
+            self.closed = True
             try:
                 self._sock.sendall(bye_frame())
             except OSError:
                 pass
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        self._release()
+
+    def _release(self) -> None:
+        if self._sock.fileno() >= 0:
+            self._selector.unregister(self._sock)
+            self._sock.close()
 
 
 class TcpListener:
-    """Accept loop feeding new TcpConns to a server."""
+    """Listening socket on the driver's selector: accepts one connection
+    each time the selector reports it readable."""
 
-    def __init__(self, host: str, port: int, server):
+    def __init__(self, host: str, port: int, server, selector):
         self._server = server
+        self._selector = selector
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(16)
+        self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._stopping = False
+        selector.register(self._sock, selectors.EVENT_READ, self)
 
-    def start(self) -> None:
-        self._thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                sock, addr = self._sock.accept()
-            except OSError:
-                break
-            host = addr[0]
-            if not self._server.allow_inbound(host, self.port, "npc-tcp"):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                continue
-            conn = TcpConn(f"tcp:{host}:{addr[1]}", sock, self._server.enqueue)
-            self._server.accept_conn(conn)
-            conn.start()
-
-    def stop(self) -> None:
-        """Wake the accept thread, which a bare close leaves blocked in
-        ``accept()``, wait for it to end, then close the socket."""
-        self._stopping = True
+    def on_readable(self) -> None:
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        if self._thread.is_alive():
-            self._thread.join(timeout=2)
+            sock, addr = self._sock.accept()
+        except OSError:  # gone before it was accepted, or out of descriptors
+            return
+        sock.setblocking(True)  # read only when readable; sends stay a blocking sendall
+        host = addr[0]
+        if not self._server.allow_inbound(host, self.port, "npc-tcp"):
+            sock.close()
+            return
+        conn = TcpConn(f"tcp:{host}:{addr[1]}", sock, self._server.enqueue, self._selector)
+        self._server.accept_conn(conn)
+
+    def close(self) -> None:
+        self._selector.unregister(self._sock)
         self._sock.close()
 
 
-def dial_tcp(host: str, port: int, enqueue, timeout: float = 5.0) -> TcpConn:
+class Waker:
+    """Wake-up socketpair on the driver's selector: ``wake()``, from any
+    thread, makes the driver's ``select`` return."""
+
+    def __init__(self, selector):
+        self._selector = selector
+        self._r, self._w = socket.socketpair()
+        self._r.setblocking(False)
+        self._w.setblocking(False)
+        # held while writing, so close() cannot free the descriptor under a wake
+        self._lock = threading.Lock()
+        selector.register(self._r, selectors.EVENT_READ, self)
+
+    def wake(self) -> None:
+        with self._lock:
+            try:
+                self._w.send(b"\0")
+            except OSError:  # buffer full: a byte is already pending; or closed
+                pass
+
+    def on_readable(self) -> None:
+        try:
+            self._r.recv(4096)
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        self._selector.unregister(self._r)
+        self._r.close()
+        with self._lock:
+            self._w.close()
+
+
+def dial_tcp(host: str, port: int, enqueue, selector, timeout: float = 5.0) -> TcpConn:
     sock = socket.create_connection((host, port), timeout=timeout)
     sock.settimeout(None)
-    conn = TcpConn(f"tcp->{host}:{port}", sock, enqueue)
-    conn.start()
-    return conn
+    return TcpConn(f"tcp->{host}:{port}", sock, enqueue, selector)
 
 
 # ---------------------------------------------------------------------------

@@ -194,3 +194,5 @@ class HttpFacade:
     def stop(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=2)

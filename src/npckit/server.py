@@ -4,20 +4,23 @@ The server owns the boring plumbing: building nodes from configuration,
 spawning behaviors when port entries appear, routing inbound channel
 messages to the port that owns the connection, dialing out with firewall
 checks, and driving delivery.  All of it runs on a single driver thread
-(or the sim loop); reader threads only ever enqueue messages.
+(or the sim loop), which also does all npc-tcp socket I/O through one
+selector; other threads (HTTP handlers, ``stop``) only ever enqueue.
 """
 
 from __future__ import annotations
 
 import base64
-import queue
+import collections
+import selectors
 import threading
 import time
+import traceback
 from functools import partial
 
 from .filters import FilterError, parse_filter
 from .firewall import IN, OUT, FirewallError, check, parse_rules
-from .gateways import MailStub, RepoStub, dial_tcp
+from .gateways import MailStub, RepoStub, TcpListener, Waker, dial_tcp
 from .history import NODE_ORIGIN, SUSPEND, insert_event
 from .model import (DOCUMENT, Entry, EntryUrl, NODE, PORT, PortSpec, UrlError,
                     document_entry, node_entry, parse_url, port_entry,
@@ -152,13 +155,16 @@ class Server:
         self.behaviors: dict[tuple, object] = {}
         self._deferred: list[tuple] = []
         self.faults = 0
-        self.inbound: queue.Queue = queue.Queue()
+        self.inbound: collections.deque = collections.deque()
         self.stubs: dict[str, object] = {}
         self._query_counter = 0
         self._ready = ReadyRing()  # of nodes, ticketed in creation order
         self.listener = None
         self.httpd = None
         self._driver: threading.Thread | None = None
+        self._driver_id = None
+        self._selector: selectors.BaseSelector | None = None
+        self._waker: Waker | None = None  # wakes the real-mode driver; set by start()
         self._stopping = False
         self.advertised_port = config.npc_tcp_port
         self._boot()
@@ -269,13 +275,23 @@ class Server:
                     return False
             return getattr(b, hook)(*args)
         except Exception as e:
-            self.faults += 1
-            b.ctx.trace("fault", f"{hook}: {type(e).__name__}: {e}")
-            import traceback
-            traceback.print_exc()
+            self._fault(b.ctx.trace, hook, e)
             if hook != "on_stop":
                 b.ctx.self_remove()
             return None
+
+    def _guard(self, where: str, fn) -> None:
+        """Run ``fn``, a task or socket callback of the driver, which a
+        raise must not stop."""
+        try:
+            fn()
+        except Exception as e:
+            self._fault(self._trace, where, e)
+
+    def _fault(self, trace, where: str, e: Exception) -> None:
+        self.faults += 1
+        trace("fault", f"{where}: {type(e).__name__}: {e}")
+        traceback.print_exc()
 
     def defer(self, key: tuple, method: str) -> None:
         self._deferred.append((key, self.behaviors[key], method))
@@ -286,7 +302,9 @@ class Server:
     # -- connections --------------------------------------------------------------------
 
     def enqueue(self, conn, msg: dict) -> None:
-        self.inbound.put((conn, msg))
+        self.inbound.append((conn, msg))
+        if self._waker is not None and threading.get_ident() != self._driver_id:
+            self._waker.wake()
 
     def accept_conn(self, conn, peer_host: str | None = None) -> bool:
         if peer_host is not None and not self.allow_inbound(peer_host, self.advertised_port,
@@ -327,7 +345,7 @@ class Server:
             conn = self.network.connect(self, url.host, url.tcp_port)
         if conn is None and self.real:
             try:
-                conn = dial_tcp(url.host, url.tcp_port, self.enqueue)
+                conn = dial_tcp(url.host, url.tcp_port, self.enqueue, self._selector)
             except OSError:
                 conn = None
         if conn is None:
@@ -372,20 +390,23 @@ class Server:
     def run_soon(self, fn) -> None:
         """Run ``fn`` on the driving thread; gateways use this so node state
         is only ever touched from one place."""
-        self.inbound.put((None, fn))
+        self.inbound.append((None, fn))
+        if self._waker is not None and threading.get_ident() != self._driver_id:
+            self._waker.wake()
 
     def _dispatch(self, item) -> None:
         conn, msg = item
         if conn is None and callable(msg):
-            msg()
+            self._guard("run_soon", msg)
         else:
             self.handle_message(conn, msg)
 
     def pump(self) -> int:
         """Handle every queued inbound message; returns how many."""
         handled = 0
-        while self.inbound.qsize():
-            self._dispatch(self.inbound.get_nowait())
+        inbound = self.inbound
+        while inbound:
+            self._dispatch(inbound.popleft())
             handled += 1
         return handled
 
@@ -504,37 +525,41 @@ class Server:
 
     def start(self) -> None:
         """Bind sockets and run the driver loop on a background thread."""
-        from .gateways import TcpListener
         from .httpd import HttpFacade
-        self.listener = TcpListener("0.0.0.0", self.config.npc_tcp_port, self)
+        self._selector = selectors.DefaultSelector()
+        self.listener = TcpListener("0.0.0.0", self.config.npc_tcp_port, self, self._selector)
         self.advertised_port = self.listener.port  # the one bound, when asked for 0
-        self.listener.start()
+        self._waker = Waker(self._selector)
         if self.config.http_port is not None:
             self.httpd = HttpFacade(self, "0.0.0.0", self.config.http_port)
             self.httpd.start()
         self._driver = threading.Thread(target=self._drive, daemon=True)
         self._driver.start()
+        self._driver_id = self._driver.ident
 
     def _drive(self) -> None:
         """Fire due timers and run passes; only when a pass moves nothing,
-        block on the inbound queue until the next item or the next timer."""
-        while not self._stopping:
-            self.tick_timers()
-            if self.run_once() == 0:
-                deadline = self._next_deadline()
-                try:
-                    item = self.inbound.get(timeout=None if deadline is None else
-                                            max(0, deadline - self.clock()) / 1000)
-                except queue.Empty:
-                    continue
-                self._dispatch(item)
+        wait on the selector until a socket is readable or the next timer
+        is due.  Every socket is read, written and closed here."""
+        select = self._selector.select
+        try:
+            while not self._stopping:
+                self.tick_timers()
+                if self.run_once() == 0:
+                    deadline = self._next_deadline()
+                    for key, _ in select(None if deadline is None else
+                                         max(0, deadline - self.clock()) / 1000):
+                        self._guard("socket", key.data.on_readable)
+        finally:
+            # the listener, every connection (with a bye) and the waker
+            for key in list(self._selector.get_map().values()):
+                key.data.close()
+            self._selector.close()
 
     def stop(self) -> None:
         self._stopping = True
-        if self.listener is not None:
-            self.listener.stop()
         if self.httpd is not None:
             self.httpd.stop()
         if self._driver is not None:
-            self.run_soon(lambda: None)  # wakes a driver blocked on the queue
+            self._waker.wake()
             self._driver.join(timeout=2)

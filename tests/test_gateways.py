@@ -1,20 +1,91 @@
-"""Socket gateways: listener shutdown and connection close ownership."""
+"""Socket gateways: the driver thread owns every npc-tcp socket.
+
+The real-mode tests here share one server on port 0 and open at most three
+sockets each.
+"""
 
 import socket
+import struct
 import threading
+import time
 
+import pytest
+
+from npckit.cli import NpcClient
 from npckit.gateways import TcpConn
 from npckit.server import Server, ServerConfig
+from npckit.wire import MAX_BODY, encode_frame, read_frame
+
+CONFIG = {"host": "127.0.0.1", "npc_tcp_port": 0,
+          "root": {"entries": [{"name": "admin", "kind": "port", "behavior": "admin"}]}}
 
 
-def test_stopped_server_leaves_no_listener_thread():
+def flush(server: Server) -> None:
+    """Return once the driver has run every task queued before this call."""
+    done = threading.Event()
+    server.run_soon(done.set)
+    assert done.wait(5), "the driver did not get to the task"
+
+
+def wait_for(cond, what: str) -> None:
+    deadline = time.monotonic() + 5
+    while not cond():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+@pytest.fixture(scope="module")
+def server():
+    s = Server(ServerConfig.from_dict(CONFIG), real=True)
+    s.start()
+    yield s
+    s.stop()
+
+
+def admin_url(server: Server) -> str:
+    return f"npc://127.0.0.1:{server.advertised_port}/root/admin"
+
+
+def raw(server: Server) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", server.advertised_port), timeout=5)
+
+
+def hello(server: Server) -> bytes:
+    return encode_frame({"kind": "hello", "target": admin_url(server)})
+
+
+LIST = encode_frame({"kind": "cmd", "op": "list"})
+
+
+def test_a_stopped_server_leaves_no_thread_and_no_listener():
     before = set(threading.enumerate())
     for _ in range(2):
-        s = Server(ServerConfig.from_dict({"host": "a", "npc_tcp_port": 0}), real=True)
+        s = Server(ServerConfig.from_dict(dict(CONFIG, http_port=0)), real=True)
         s.start()
+        port = s.advertised_port
         s.stop()
-        assert not s.listener._thread.is_alive()
+        assert not s._driver.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
     assert set(threading.enumerate()) - before == set()
+
+
+def test_a_started_server_runs_the_driver_and_the_http_thread_and_no_more():
+    before = set(threading.enumerate())
+    s = Server(ServerConfig.from_dict(dict(CONFIG, http_port=0)), real=True)
+    s.start()
+    clients = []
+    try:
+        assert set(threading.enumerate()) - before == {s._driver, s.httpd._thread}
+        clients = [NpcClient(admin_url(s), timeout=5) for _ in range(3)]
+        for c in clients:
+            assert c.roundtrip({"kind": "cmd", "op": "list"})["kind"] == "ack"
+        # three open connections, and not one thread more
+        assert set(threading.enumerate()) - before == {s._driver, s.httpd._thread}
+    finally:
+        for c in clients:
+            c.close()
+        s.stop()
 
 
 class RecordingSocket:
@@ -32,22 +103,78 @@ class RecordingSocket:
         self._sock.close()
 
 
-def test_only_the_reader_thread_closes_the_socket():
+def test_only_the_driver_closes_a_socket_and_only_once(server):
     # one side hangs up locally, the other sees its peer go first
     for peer_first in (False, True):
         ours, theirs = socket.socketpair()
         sock = RecordingSocket(ours)
-        got = []
-        conn = TcpConn("pair", sock, lambda c, msg: got.append(msg["kind"]))
-        conn.start()
+        got, made = [], []
+
+        def register(sock=sock, got=got, made=made):
+            made.append(TcpConn("pair", sock, lambda c, msg: got.append(msg["kind"]),
+                                server._selector))
+
+        server.run_soon(register)
+        flush(server)
+        conn = made[0]
         if peer_first:
             theirs.close()
-            conn._thread.join(timeout=5)
-            conn.close()
+            wait_for(lambda: sock.closed_by, "the driver did not see the hang-up")
+            server.run_soon(conn.close)
         else:
-            conn.close()
-            conn._thread.join(timeout=5)
+            server.run_soon(conn.close)
+            flush(server)
+            theirs.settimeout(5)
+            assert read_frame(theirs.recv)["kind"] == "bye"
+            assert read_frame(theirs.recv) is None
             theirs.close()
-        assert not conn._thread.is_alive()
-        assert sock.closed_by == [conn._thread]
+        flush(server)
+        assert sock.closed_by == [server._driver]
         assert got == (["bye"] if peer_first else [])
+
+
+@pytest.mark.parametrize("cut", [2, 9], ids=["in-header", "in-body"])
+def test_a_hello_split_across_two_sends_is_answered(server, cut):
+    with raw(server) as s:
+        frame = hello(server)
+        s.sendall(frame[:cut])
+        time.sleep(0.05)
+        s.sendall(frame[cut:])
+        assert read_frame(s.recv)["kind"] == "hello"
+
+
+def test_two_frames_in_one_send_are_both_answered_in_order(server):
+    with raw(server) as s:
+        s.sendall(hello(server) + LIST)
+        assert read_frame(s.recv)["kind"] == "hello"
+        reply = read_frame(s.recv)
+        assert reply["kind"] == "ack" and [e["name"] for e in reply["entries"]] == ["admin"]
+
+
+def test_an_announced_oversize_body_closes_only_its_connection(server):
+    with raw(server) as bad, raw(server) as good:
+        good.sendall(hello(server))
+        assert read_frame(good.recv)["kind"] == "hello"
+        bad.sendall(hello(server))
+        assert read_frame(bad.recv)["kind"] == "hello"
+        bad.sendall(struct.pack(">I", MAX_BODY + 1))
+        assert read_frame(bad.recv) is None  # end of stream
+        good.sendall(LIST)
+        assert read_frame(good.recv)["kind"] == "ack"
+
+
+def test_a_stalled_partial_header_does_not_delay_another_client(server):
+    with raw(server) as stalled, raw(server) as other:
+        stalled.sendall(hello(server))
+        assert read_frame(stalled.recv)["kind"] == "hello"
+        other.sendall(hello(server))
+        assert read_frame(other.recv)["kind"] == "hello"
+        stalled.sendall(LIST[:2])
+        time.sleep(0.05)
+        t0 = time.monotonic()
+        other.sendall(LIST)
+        assert read_frame(other.recv)["kind"] == "ack"
+        assert time.monotonic() - t0 < 1.0
+        # the stalled frame is still whole once the rest arrives
+        stalled.sendall(LIST[2:])
+        assert read_frame(stalled.recv)["kind"] == "ack"

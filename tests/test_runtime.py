@@ -1,7 +1,9 @@
 """The behavior runtime: one choke point into behavior code, fault isolation."""
 
 import ast
+import base64
 import pathlib
+import selectors
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from npckit.model import PORT, PortSpec, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import Server, ServerConfig
 from npckit.sim import SimRun, apply_stimulus
+from npckit import wire
 from npckit.wire import entry_to_json
 
 ADMIN = {"name": "admin", "kind": "port", "behavior": "admin"}
@@ -156,6 +159,48 @@ def test_driver_survives_a_faulting_behavior_over_tcp():
     assert not server._driver.is_alive()
 
 
+def test_driver_survives_a_raising_task(capsys):
+    server = real_server()
+    server.start()
+    try:
+        server.run_soon(lambda: 1 / 0)
+        client = NpcClient(f"npc://127.0.0.1:{server.advertised_port}/root/admin", timeout=5)
+        try:
+            assert listed([client.roundtrip({"kind": "cmd", "op": "list"})]) == ["admin"]
+        finally:
+            client.close()
+        assert server._driver.is_alive()
+        assert server.faults == 1
+    finally:
+        server.stop()
+    assert "ZeroDivisionError" in capsys.readouterr().err
+
+
+def test_an_oversize_reply_becomes_an_error_reply(monkeypatch):
+    run = admin_run()
+    server = run.server("a")
+    big = {"name": "big", "kind": "document", "meta": {},
+           "content_b64": base64.b64encode(b"x" * 6000).decode("ascii"),
+           "media_type": "text/plain"}
+    run.send("c", {"kind": "cmd", "op": "insert", "entry": big})
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    monkeypatch.setattr(wire, "MAX_BODY", 4096)
+    last = server.root.history.last_seq
+    run.send("c", {"kind": "cmd", "op": "get", "name": "big"})
+    assert run.take_replies("c") == [{"v": 1, "kind": "error", "code": "oversize"}]
+    assert server.faults == 0
+    assert server.root.entries["admin"].kind == PORT
+    assert server.root.history.last_seq == last
+    # the connection still works: the whole table is too big to list, too
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert run.take_replies("c") == [{"v": 1, "kind": "error", "code": "oversize"}]
+    run.send("c", {"kind": "cmd", "op": "remove", "name": "big"})
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    run.send("c", {"kind": "cmd", "op": "list"})
+    assert listed(run.take_replies("c")) == ["admin"]
+    assert not [line for line in run.tracer.lines() if "\tfault\t" in line]
+
+
 def test_behavior_hooks_are_entered_only_through_the_server_choke_point():
     """A direct call, or a bound hook handed out, would bypass fault
     handling; only ``Server._hook`` may touch the hooks."""
@@ -295,17 +340,17 @@ def real_server() -> Server:
     return Server(ServerConfig.from_dict(config), real=True)
 
 
-def test_the_driver_blocks_only_when_idle_and_until_the_next_timer():
+def test_the_driver_blocks_only_when_idle_and_until_the_next_timer(monkeypatch):
     server = real_server()
-    waits = []  # (timeout, anything ready, anything deferred) of each block
-    get = server.inbound.get
+    waits = []  # (timeout, anything ready, deferred or queued) of each select
 
-    def recording_get(block=True, timeout=None):
-        if block:
-            waits.append((timeout, bool(server._ready.ready), bool(server._deferred)))
-        return get(block, timeout)
+    class RecordingSelector(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            waits.append((timeout, bool(server._ready.ready),
+                          bool(server._deferred or server.inbound)))
+            return super().select(timeout)
 
-    server.inbound.get = recording_get
+    monkeypatch.setattr(selectors, "DefaultSelector", RecordingSelector)
     server.start()
     try:
         deadline = time.monotonic() + 5
@@ -328,7 +373,7 @@ def test_the_driver_blocks_only_when_idle_and_until_the_next_timer():
     assert not server._driver.is_alive()
     timed = [timeout for timeout, _, _ in waits[idle:] if timeout is not None]
     assert timed and all(0 <= timeout <= 0.2 for timeout in timed)
-    assert not any(ready or deferred for _, ready, deferred in waits)
+    assert not any(ready or pending for _, ready, pending in waits)
 
 
 @pytest.mark.parametrize("behavior, config, label", [
@@ -355,3 +400,29 @@ def test_removed_port_can_be_inserted_again_over_tcp(behavior, config, label):
     finally:
         server.stop()
     assert not server._driver.is_alive()
+
+
+RECV = {"recv", "recv_into", "recvfrom", "recvfrom_into", "recvmsg"}
+
+
+def test_threads_start_only_in_start_and_sockets_are_read_only_by_connections():
+    """Two threads at most: ``Server.start`` starts the driver and
+    ``HttpFacade.start`` the HTTP server's.  A server's socket is read only
+    by its ``TcpConn``, on the driver, and the driver's waker reads its own
+    socketpair; a connection with a reader thread of its own would need a
+    read somewhere else.  (``NpcClient`` is the client end, read on its
+    caller's thread.)"""
+    threads, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        may_thread = inside(tree, "Server", "start") | inside(tree, "HttpFacade", "start")
+        may_read = inside(tree, "TcpConn") | inside(tree, "Waker") | inside(tree, "NpcClient")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in may_thread
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Thread"):
+                threads.append(f"{path.name}:{node.lineno}")
+            # a socket's read method, called or handed on (not a method of self)
+            if (isinstance(node, ast.Attribute) and node.attr in RECV and id(node) not in may_read
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert threads == [] and reads == []
