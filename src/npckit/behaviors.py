@@ -302,7 +302,10 @@ class ForwarderBehavior(Behavior):
             self.ctx.trace("drop", f"no channel to {self.target}")
             return False
         out = tagged_with_origin(ev, self.ctx.node_url().text())
-        self.ctx.send(conn, {"kind": EVENT, "event": event_to_json(out)})
+        if not self.ctx.send(conn, {"kind": EVENT, "event": event_to_json(out)}):
+            # too big to frame, or the channel broke: the target misses it
+            self.ctx.trace("drop", f"{ev.kind} {ev.entry.name if ev.entry else ''} "
+                                   f"not sent to {self.target}")
         return False
 
     def on_external(self, conn, msg: dict) -> None:

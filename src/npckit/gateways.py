@@ -22,13 +22,15 @@ RECV_SIZE = 65536
 _conn_ids = itertools.count(1)
 
 
-def _frame(msg: dict) -> bytes:
-    """``msg`` as a frame, or, when it is too big to frame, an ``oversize``
-    error in its place: a reply that cannot be sent still answers."""
+def _frame(msg: dict) -> tuple[bytes, bool]:
+    """``msg`` as a frame and True, or, when it is too big to frame, an
+    ``oversize`` error in its place and False: a request that cannot be
+    answered in full still gets an answer, and the sender learns that
+    ``msg`` did not go."""
     try:
-        return encode_frame(msg)
+        return encode_frame(msg), True
     except WireError as e:
-        return encode_frame({"kind": ERROR, "code": e.code})
+        return encode_frame({"kind": ERROR, "code": e.code}), False
 
 
 class Conn:
@@ -63,11 +65,11 @@ class LoopbackConn(Conn):
     def send(self, msg: dict) -> bool:
         if self.closed or self._peer is None or self._peer.closed:
             return False
+        data, whole = _frame(msg)
         buf = FrameBuffer()
-        buf.feed(_frame(msg))
-        decoded = buf.pop()
-        self._put(self._peer, decoded)
-        return True
+        buf.feed(data)
+        self._put(self._peer, buf.pop())
+        return whole
 
     def close(self) -> None:
         if self.closed:
@@ -125,18 +127,24 @@ class LoopbackNetwork:
 
 
 class TcpConn(Conn):
-    """Socket-backed channel end on the driver's selector.
+    """Non-blocking socket-backed channel end on the driver's selector.
 
     The driver thread reads the socket when the selector reports it
     readable, writes it and closes it; no other thread touches it, so its
-    descriptor is never freed while another call on it is in flight."""
+    descriptor is never freed while another call on it is in flight.  What
+    a send cannot hand the kernel at once waits in ``_out`` and goes out
+    when the socket is writable, so a peer that is slow to read never
+    stops the driver from reading everyone else."""
 
     def __init__(self, label: str, sock: socket.socket, enqueue, selector):
         super().__init__(label)
+        sock.setblocking(False)
         self._sock = sock
         self._enqueue = enqueue
         self._selector = selector
         self._frames = FrameBuffer()
+        self._out = bytearray()  # sent, but not yet taken by the kernel
+        self._closing = False  # closed here; the socket goes once _out is out
         selector.register(sock, selectors.EVENT_READ, self)
 
     def on_readable(self) -> None:
@@ -150,37 +158,79 @@ class TcpConn(Conn):
                 while (msg := self._frames.pop()) is not None:
                     self._enqueue(self, msg)
                 return
+        except BlockingIOError:
+            return
         except (WireError, OSError):
             pass
-        # end of stream, clean or not: the server sees a bye either way
+        self._lost()  # end of stream, clean or not
+
+    def on_writable(self) -> None:
+        """Hand the kernel what it takes of ``_out``; once all of it is
+        out, wait for reads again, or finish a close."""
+        try:
+            del self._out[:self._sock.send(self._out)]
+        except BlockingIOError:
+            return
+        except OSError:
+            self._lost()
+            return
+        if not self._out:
+            if self._closing:
+                self.drop()
+            else:
+                self._selector.modify(self._sock, selectors.EVENT_READ, self)
+
+    def send(self, msg: dict) -> bool:
+        """Queue ``msg``, framed, behind what is still unsent.  A message
+        too big to frame goes out as an ``oversize`` error and counts as
+        not sent."""
+        if self.closed:
+            return False
+        data, whole = _frame(msg)
+        return self._write(data) and whole
+
+    def _write(self, data: bytes) -> bool:
+        if not self._out:
+            try:
+                data = data[self._sock.send(data):]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self._lost()
+                return False
+            if not data:
+                return True
+            self._selector.modify(self._sock, selectors.EVENT_READ | selectors.EVENT_WRITE,
+                                  self)
+        self._out += data
+        return True
+
+    def close(self) -> None:
+        """Say bye, unless either end already has, and close the socket
+        once everything sent has gone out."""
+        if self._closing or self._sock.fileno() < 0:
+            return
+        if not self.closed:
+            self.closed = True
+            self._write(bye_frame())
+        self._closing = True
+        if self._out:
+            self._selector.modify(self._sock, selectors.EVENT_WRITE, self)
+        else:
+            self.drop()
+
+    def _lost(self) -> None:
+        """The peer is gone: the server sees a bye, unless either end
+        already said one."""
         if not self.closed:
             self.closed = True
             self._enqueue(self, {"v": 1, "kind": "bye"})
-        self._release()
+        self.drop()
 
-    def send(self, msg: dict) -> bool:
-        if self.closed:
-            return False
-        try:
-            self._sock.sendall(_frame(msg))
-            return True
-        except OSError:
-            self.closed = True
-            self._release()
-            return False
-
-    def close(self) -> None:
-        """Say bye, unless either end already has, and close the socket."""
-        if not self.closed:
-            self.closed = True
-            try:
-                self._sock.sendall(bye_frame())
-            except OSError:
-                pass
-        self._release()
-
-    def _release(self) -> None:
+    def drop(self) -> None:
+        """Close the socket now; what the peer has not taken is lost."""
         if self._sock.fileno() >= 0:
+            self._out.clear()
             self._selector.unregister(self._sock)
             self._sock.close()
 
@@ -205,7 +255,6 @@ class TcpListener:
             sock, addr = self._sock.accept()
         except OSError:  # gone before it was accepted, or out of descriptors
             return
-        sock.setblocking(True)  # read only when readable; sends stay a blocking sendall
         host = addr[0]
         if not self._server.allow_inbound(host, self.port, "npc-tcp"):
             sock.close()
@@ -253,7 +302,6 @@ class Waker:
 
 def dial_tcp(host: str, port: int, enqueue, selector, timeout: float = 5.0) -> TcpConn:
     sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(None)
     return TcpConn(f"tcp->{host}:{port}", sock, enqueue, selector)
 
 

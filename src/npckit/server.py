@@ -538,22 +538,32 @@ class Server:
         self._driver_id = self._driver.ident
 
     def _drive(self) -> None:
-        """Fire due timers and run passes; only when a pass moves nothing,
-        wait on the selector until a socket is readable or the next timer
-        is due.  Every socket is read, written and closed here."""
+        """Fire due timers and run passes.  After a pass that moved
+        something, poll the selector, so sockets are served however busy
+        the driver is; after one that moved nothing, wait on it until a
+        socket is ready or the next timer is due.  Every socket is read,
+        written and closed here."""
         select = self._selector.select
         try:
             while not self._stopping:
                 self.tick_timers()
-                if self.run_once() == 0:
+                if self.run_once():
+                    timeout = 0
+                else:
                     deadline = self._next_deadline()
-                    for key, _ in select(None if deadline is None else
-                                         max(0, deadline - self.clock()) / 1000):
+                    timeout = None if deadline is None else max(0, deadline - self.clock()) / 1000
+                for key, mask in select(timeout):
+                    if mask & selectors.EVENT_WRITE:
+                        self._guard("socket", key.data.on_writable)
+                    if mask & selectors.EVENT_READ:
                         self._guard("socket", key.data.on_readable)
         finally:
-            # the listener, every connection (with a bye) and the waker
+            # the listener, every connection (with a bye) and the waker;
+            # output a peer has not taken by now is dropped
             for key in list(self._selector.get_map().values()):
                 key.data.close()
+            for key in list(self._selector.get_map().values()):
+                key.data.drop()
             self._selector.close()
 
     def stop(self) -> None:

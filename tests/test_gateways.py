@@ -1,9 +1,10 @@
 """Socket gateways: the driver thread owns every npc-tcp socket.
 
 The real-mode tests here share one server on port 0 and open at most three
-sockets each.
+sockets each, except the mirror test, which runs two servers of its own.
 """
 
+import base64
 import socket
 import struct
 import threading
@@ -12,7 +13,10 @@ import time
 import pytest
 
 from npckit.cli import NpcClient
+from npckit.filters import parse_filter
 from npckit.gateways import TcpConn
+from npckit.history import NODE_ORIGIN, insert_event
+from npckit.model import PortSpec, port_entry
 from npckit.server import Server, ServerConfig
 from npckit.wire import MAX_BODY, encode_frame, read_frame
 
@@ -178,3 +182,65 @@ def test_a_stalled_partial_header_does_not_delay_another_client(server):
         # the stalled frame is still whole once the rest arrives
         stalled.sendall(LIST[2:])
         assert read_frame(stalled.recv)["kind"] == "ack"
+
+
+def loopback_buffers() -> int:
+    """What one loopback connection holds unread: the sender's send buffer
+    plus the receiver's receive buffer."""
+    with socket.create_server(("127.0.0.1", 0)) as lsn:
+        with socket.create_connection(lsn.getsockname()) as ours:
+            theirs, _ = lsn.accept()
+            with theirs:
+                return (ours.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                        + theirs.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF))
+
+
+def test_mirrored_servers_sending_each_other_more_than_the_buffers_hold_converge():
+    """Each side of a mirror forwards a document bigger than a connection's
+    buffers to the other at the same moment.  A driver that waited for its
+    own send to finish before reading would never read its peer's, and
+    both would hang."""
+    held = loopback_buffers()
+    size = min(2 * held, MAX_BODY * 3 // 4 - 65536)  # base64 must still frame
+    assert size > held
+    # as the mirror preset: "in" takes what the other side forwards
+    config = dict(CONFIG, root={"entries": CONFIG["root"]["entries"] + [
+        {"name": "in", "kind": "port", "behavior": "admin"}]})
+    sides = [Server(ServerConfig.from_dict(config), real=True) for _ in range(2)]
+    clients = []
+    try:
+        for s in sides:
+            s.start()
+        for s, other in zip(sides, reversed(sides)):
+            # forwards every change but those the other side sent in
+            target = f"npc://127.0.0.1:{other.advertised_port}/root/in"
+            fwd = port_entry("fwd", PortSpec("forwarder", {"target": target},
+                                             parse_filter('event.port != "in"'),
+                                             parse_filter("true")))
+            s.run_soon(lambda s=s, fwd=fwd: s.root.post_event(NODE_ORIGIN, insert_event(fwd)))
+            flush(s)
+        clients = [NpcClient(admin_url(s), timeout=30) for s in sides]
+        inserts = [encode_frame({"kind": "cmd", "op": "insert", "entry": {
+            "name": f"big-{i}", "kind": "document", "media_type": "text/plain",
+            "content_b64": base64.b64encode(bytes([65 + i]) * size).decode("ascii")}})
+            for i in range(2)]
+        senders = [threading.Thread(target=c.sock.sendall, args=(frame,))
+                   for c, frame in zip(clients, inserts)]
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(30)
+        deadline = time.monotonic() + 30
+        while not all({"big-0", "big-1"} <= set(s.root.entries) for s in sides):
+            assert time.monotonic() < deadline, "the mirror did not converge"
+            time.sleep(0.05)
+        for s in sides:
+            for i in range(2):
+                assert s.root.entries[f"big-{i}"].payload.content == bytes([65 + i]) * size
+            assert s.faults == 0
+    finally:
+        for c in clients:
+            c.close()
+        for s in sides:
+            s.stop()
+    assert not any(s._driver.is_alive() for s in sides)

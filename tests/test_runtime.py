@@ -5,13 +5,14 @@ import base64
 import pathlib
 import selectors
 import time
+from contextlib import closing
 
 import pytest
 
 from npckit.apps import build_preset
 from npckit.cli import NpcClient
-from npckit.history import NODE_ORIGIN, REMOVE
-from npckit.model import PORT, PortSpec, port_entry
+from npckit.history import NODE_ORIGIN, REMOVE, insert_event
+from npckit.model import PORT, PortSpec, document_entry, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import Server, ServerConfig
 from npckit.sim import SimRun, apply_stimulus
@@ -19,6 +20,7 @@ from npckit import wire
 from npckit.wire import entry_to_json
 
 ADMIN = {"name": "admin", "kind": "port", "behavior": "admin"}
+LIST = {"kind": "cmd", "op": "list"}
 HOOKS = {"on_start", "on_event", "on_external", "on_stop"}
 LOOP = {"pump", "drain", "step_behaviors"}
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "npckit"
@@ -176,6 +178,56 @@ def test_driver_survives_a_raising_task(capsys):
     assert "ZeroDivisionError" in capsys.readouterr().err
 
 
+class Spinner(Behavior):
+    """Defers another turn from each turn while ``spinning``, so every pass
+    of the driver moves something."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.spinning = True
+        self.turns = 0
+
+    def on_start(self) -> None:
+        self.ctx.defer("turn")
+
+    def turn(self) -> None:
+        self.turns += 1
+        if self.spinning:
+            self.ctx.defer("turn")
+
+
+def test_a_driver_busy_on_every_pass_still_serves_sockets(monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "spinner", Spinner)
+    server = real_server()
+    server.start()
+    url = f"npc://127.0.0.1:{server.advertised_port}/root/admin"
+    spinner = None
+    try:
+        with closing(NpcClient(url, timeout=5)) as client:
+            assert client.roundtrip(insert_port("spin", "spinner", {}))["kind"] == "ack"
+            spinner = server.behavior_at(("root",), "spin")
+            deadline = time.monotonic() + 5
+            while spinner.turns < 100:
+                assert time.monotonic() < deadline, "the spinner did not spin"
+                time.sleep(0.01)
+            # the driver never goes idle now; a new client is still
+            # accepted and answered, and so is the old one
+            t0 = time.monotonic()
+            with closing(NpcClient(url, timeout=5)) as other:
+                assert listed([other.roundtrip(LIST)]) == ["admin", "spin"]
+            assert listed([client.roundtrip(LIST)]) == ["admin", "spin"]
+            assert time.monotonic() - t0 < 1.0
+            turns = spinner.turns
+            time.sleep(0.05)
+            assert spinner.turns > turns  # still busy throughout
+    finally:
+        if spinner is not None:
+            spinner.spinning = False
+        server.stop()
+    assert not server._driver.is_alive()
+    assert server.faults == 0
+
+
 def test_an_oversize_reply_becomes_an_error_reply(monkeypatch):
     run = admin_run()
     server = run.server("a")
@@ -199,6 +251,25 @@ def test_an_oversize_reply_becomes_an_error_reply(monkeypatch):
     run.send("c", {"kind": "cmd", "op": "list"})
     assert listed(run.take_replies("c")) == ["admin"]
     assert not [line for line in run.tracer.lines() if "\tfault\t" in line]
+
+
+def test_an_oversize_forward_is_traced_as_a_drop(monkeypatch):
+    """A document too big to frame cannot reach the other side of a
+    mirror; the forwarder says so in the trace and forwards on."""
+    run = SimRun()
+    for config in build_preset("mirror"):
+        run.add_server(config)
+    run.quiesce()
+    monkeypatch.setattr(wire, "MAX_BODY", 4096)
+    a, b = run.server("a"), run.server("b")
+    a.root.post_event("admin", insert_event(document_entry("big", b"x" * 6000)))
+    run.quiesce()
+    drops = [line for line in run.tracer.lines() if "\tdrop\t" in line]
+    assert len(drops) == 1 and "Insert big not sent" in drops[0]
+    a.root.post_event("admin", insert_event(document_entry("small", b"y")))
+    run.quiesce()
+    assert "small" in b.root.entries and "big" not in b.root.entries
+    assert a.faults == b.faults == 0
 
 
 def test_behavior_hooks_are_entered_only_through_the_server_choke_point():
@@ -342,12 +413,13 @@ def real_server() -> Server:
 
 def test_the_driver_blocks_only_when_idle_and_until_the_next_timer(monkeypatch):
     server = real_server()
-    waits = []  # (timeout, anything ready, deferred or queued) of each select
+    waits = []  # (timeout, anything ready, deferred or queued) of each blocking select
 
     class RecordingSelector(selectors.DefaultSelector):
         def select(self, timeout=None):
-            waits.append((timeout, bool(server._ready.ready),
-                          bool(server._deferred or server.inbound)))
+            if timeout != 0:  # a wait, not the poll between busy passes
+                waits.append((timeout, bool(server._ready.ready),
+                              bool(server._deferred or server.inbound)))
             return super().select(timeout)
 
     monkeypatch.setattr(selectors, "DefaultSelector", RecordingSelector)
