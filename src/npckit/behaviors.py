@@ -102,15 +102,19 @@ def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
     """Answer a pull with the live events after ``after`` that pass both the
     port's input filter and the pull's own filter.  Pulled events are
     tagged with this node's URL unless ``tag`` is false."""
-    try:
-        filt = parse_filter(msg.get("filter", "true"))
-    except FilterError as e:
-        _err(conn, e.code, str(e))
-        return
+    text = msg.get("filter", "true")
     after = msg.get("after", 0)
     max_events = msg.get("max", 256)
-    if not isinstance(after, int) or not isinstance(max_events, int):
+    if not isinstance(text, str):
+        _err(conn, "malformed", "filter must be a string")
+        return
+    if type(after) is not int or type(max_events) is not int:  # nor a bool
         _err(conn, "malformed", "after and max must be integers")
+        return
+    try:
+        filt = parse_filter(text)
+    except FilterError as e:
+        _err(conn, e.code, str(e))
         return
     spec = ctx.spec
     effective = And(spec.input_filter, filt) if spec is not None else filt
@@ -151,6 +155,9 @@ class AdminBehavior(Behavior):
 
     def _on_cmd(self, conn, msg: dict) -> None:
         op = msg.get("op")
+        if not isinstance(op, str):
+            _err(conn, "malformed", "op must be a string")
+            return
         handler = {
             "list": self._op_list, "get": self._op_get, "insert": self._op_insert,
             "remove": self._op_remove, "history": self._op_history,

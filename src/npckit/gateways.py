@@ -148,21 +148,24 @@ class TcpConn(Conn):
         selector.register(sock, selectors.EVENT_READ, self)
 
     def on_readable(self) -> None:
-        """Feed one ``recv`` to the frame buffer and queue every whole
-        frame; at the end of the stream, or on a bad frame, queue a bye
-        and close."""
+        """Hand one ``recv`` to ``_feed``; at the end of the stream, or on
+        a bad frame, queue a bye and close."""
         try:
             data = self._sock.recv(RECV_SIZE)
             if data:
-                self._frames.feed(data)
-                while (msg := self._frames.pop()) is not None:
-                    self._enqueue(self, msg)
+                self._feed(data)
                 return
         except BlockingIOError:
             return
         except (WireError, OSError):
             pass
         self._lost()  # end of stream, clean or not
+
+    def _feed(self, data: bytes) -> None:
+        """Queue every frame that ``data`` completes."""
+        self._frames.feed(data)
+        while (msg := self._frames.pop()) is not None:
+            self._enqueue(self, msg)
 
     def on_writable(self) -> None:
         """Hand the kernel what it takes of ``_out``; once all of it is
@@ -237,11 +240,12 @@ class TcpConn(Conn):
 
 class TcpListener:
     """Listening socket on the driver's selector: accepts one connection
-    each time the selector reports it readable."""
+    each time the selector reports it readable and hands it to
+    ``on_accept(sock, addr)``."""
 
-    def __init__(self, host: str, port: int, server, selector):
-        self._server = server
+    def __init__(self, host: str, port: int, selector, on_accept):
         self._selector = selector
+        self._on_accept = on_accept
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -255,12 +259,7 @@ class TcpListener:
             sock, addr = self._sock.accept()
         except OSError:  # gone before it was accepted, or out of descriptors
             return
-        host = addr[0]
-        if not self._server.allow_inbound(host, self.port, "npc-tcp"):
-            sock.close()
-            return
-        conn = TcpConn(f"tcp:{host}:{addr[1]}", sock, self._server.enqueue, self._selector)
-        self._server.accept_conn(conn)
+        self._on_accept(sock, addr)
 
     def close(self) -> None:
         self._selector.unregister(self._sock)

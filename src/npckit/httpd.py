@@ -1,38 +1,54 @@
 """HTTP facade: documents as plain web resources.
 
-GET is not a table lookup; it spawns a request port and waits for that
-port's answer, so an HTTP read goes through exactly the machinery a native
+GET is not a table lookup; it spawns a request port and hands it the
+connection, so an HTTP read goes through exactly the machinery a native
 fetch does.  PUT and DELETE translate to Insert and Remove.  Only
 documents are visible this way; everything else is a 404.
 
-The handler threads never touch node state: work is shipped to the
-driving thread and answers come back over an in-process connection.
+Requests are read, served and answered on the driving thread, on the same
+selector and with the same non-blocking connection code as npc-tcp: one
+request per connection, answered with HTTP/1.0 and then closed.
 """
 
 from __future__ import annotations
 
-import queue
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import base64
+from http import HTTPStatus
 from urllib.parse import unquote, urlsplit
 
 from .behaviors import request_spec
-from .gateways import Conn
+from .gateways import Conn, TcpConn
 from .history import NODE_ORIGIN, insert_event, remove_event
 from .model import DOCUMENT, document_entry, port_entry, valid_name
+from .wire import MAX_BODY
+
+MAX_HEAD = 65536  # request line and header fields, in bytes
+NOT_FOUND = (404, [], b"not found\n")
+NO_ANSWER = (504, [], b"no answer\n")  # the request port retired without one
 
 
-class ReplyConn(Conn):
-    """Connection end whose peer is a waiting gateway thread."""
+class Reply(Conn):
+    """Where the answer to a request is kept, as (status, headers, body),
+    until whoever holds the connection lets go of it."""
 
-    def __init__(self, label: str = "http"):
+    def __init__(self, label: str):
         super().__init__(label)
-        self.replies: queue.Queue = queue.Queue()
+        self.answer = NO_ANSWER
 
     def send(self, msg: dict) -> bool:
+        """Keep a request port's reply as the answer."""
         if self.closed:
             return False
-        self.replies.put(msg)
+        if msg.get("kind") == "ack":
+            media = " ".join(msg.get("media_type", "application/octet-stream").splitlines())
+            self.answer = (200, [("Content-Type", media)], base64.b64decode(msg.get("content_b64", "")))
+        else:
+            self.answer = NOT_FOUND
         return True
+
+    def respond(self, answer: tuple) -> None:
+        self.answer = answer
+        self.close()
 
     def close(self) -> None:
         self.closed = True
@@ -47,152 +63,133 @@ def split_resource_path(raw_path: str):
     return tuple(parts[:-1]), parts[-1]
 
 
-def _submit(server, task) -> None:
-    if server._driver is not None:
-        server.run_soon(task)
-    else:
-        # sim mode: the caller is the driving thread
-        task()
-        server.settle()
-
-
-def _wait(conn: ReplyConn, server, timeout: float):
-    try:
-        return conn.replies.get(timeout=timeout if server._driver is not None else 0.01)
-    except queue.Empty:
-        return None
-
-
 def http_request(server, method: str, raw_path: str, body: bytes = b"",
-                 content_type: str | None = None, timeout: float = 10.0):
-    """Serve one request against a server; returns (status, headers, body).
+                 content_type: str | None = None, conn=None):
+    """Serve one request against a server, on its driving thread.
 
-    Shared by the socket handler and the sim's http stimulus, so both go
-    through identical semantics.
+    The socket's ``HttpConn`` and the sim's http stimulus both come here,
+    so both go through identical semantics.  The answer goes to ``conn``,
+    which sends it when whoever holds it closes it.  Without a ``conn`` the
+    answer is collected, the server settled, and (status, headers, body)
+    returned.
     """
+    reply = Reply(f"http {method} {raw_path}") if conn is None else conn
+    answer = _serve(server, method, raw_path, body, content_type, reply)
+    if answer is not None:
+        reply.respond(answer)
+    if conn is None:
+        server.settle()
+        return reply.answer
+
+
+def _serve(server, method: str, raw_path: str, body: bytes, content_type, conn):
+    """The answer to a request, or None once a request port holds ``conn``
+    and answers on it."""
     if method not in ("GET", "PUT", "DELETE"):
         return 405, [("Allow", "GET, PUT, DELETE")], b"method not allowed\n"
     located = split_resource_path(raw_path)
     if located is None:
         return 400, [], b"malformed path\n"
     node_path, name = located
+    node = server.nodes.get(node_path)
 
     if method == "GET":
-        conn = ReplyConn(f"http GET {raw_path}")
-
-        def fetch():
-            node = server.nodes.get(node_path)
-            if node is None:
-                conn.send({"kind": "error", "code": "not-found"})
-                return
-            pname = server.next_name("req")
-            node.attachments[pname] = {"conn": conn}
-            node.post_event(NODE_ORIGIN, insert_event(port_entry(pname, request_spec(node, name))))
-
-        _submit(server, fetch)
-        reply = _wait(conn, server, timeout)
-        if reply is None:
-            return 504, [], b"timed out\n"
-        if reply.get("kind") == "ack":
-            import base64
-            content = base64.b64decode(reply.get("content_b64", ""))
-            return 200, [("Content-Type", reply.get("media_type", "application/octet-stream"))], content
-        return 404, [], b"not found\n"
-
-    done: queue.Queue = queue.Queue()
+        if node is None:
+            return NOT_FOUND
+        pname = server.next_name("req")
+        node.attachments[pname] = {"conn": conn}
+        node.post_event(NODE_ORIGIN, insert_event(port_entry(pname, request_spec(node, name))))
+        return None
 
     if method == "PUT":
-        media = content_type or "application/octet-stream"
+        if node is None:
+            return 404, [], b"no such node\n"
+        current = node.entries.get(name)
+        if current is not None and current.kind != DOCUMENT:
+            # only documents are visible here: a PUT never replaces a port
+            return NOT_FOUND
+        entry = document_entry(name, body, content_type or "application/octet-stream")
+        node.post_event(NODE_ORIGIN, insert_event(entry))
+        return 201, [], b"created\n"
 
-        def put():
-            node = server.nodes.get(node_path)
-            if node is None:
-                done.put((404, b"no such node\n"))
+    entry = node.entries.get(name) if node is not None else None
+    if entry is None or entry.kind != DOCUMENT:
+        return NOT_FOUND
+    node.post_event(NODE_ORIGIN, remove_event(entry))
+    return 204, [], b""
+
+
+def _parse_head(head: bytes):
+    """(method, path, content type, body length) of a request head, or
+    None when it is malformed."""
+    request_line, *fields = head.decode("latin-1").split("\r\n")
+    parts = request_line.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        return None
+    headers = {}
+    for field in fields:
+        name, colon, value = field.partition(":")
+        if not colon:
+            return None
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()):
+        return None
+    return parts[0], parts[1], headers.get("content-type"), int(length)
+
+
+class HttpConn(TcpConn):
+    """One HTTP exchange on the driver's selector.
+
+    The request head is buffered up to its blank line and the body up to
+    its ``Content-Length``; the whole request then goes to
+    ``http_request`` with this connection.  ``send`` keeps the answer and
+    ``close`` writes it, then closes without a bye: for a GET, when the
+    request port lets go of the connection.  A head over ``MAX_HEAD`` is
+    answered 431, a malformed one 400, and one announcing a body over
+    ``wire.MAX_BODY`` 413, before any of the body is read."""
+
+    send, respond = Reply.send, Reply.respond  # the answer is kept as a Reply keeps it
+
+    def __init__(self, server, sock, addr):
+        super().__init__(f"http:{addr[0]}:{addr[1]}", sock, server.enqueue, server._selector)
+        self._server = server
+        self._in = bytearray()  # None once the whole request is in
+        self._head = None  # what _parse_head made of it
+        self.answer = NO_ANSWER
+
+    def _feed(self, data: bytes) -> None:
+        if self._in is None:
+            return  # the request is whole; the rest is ignored
+        self._in += data
+        if self._head is None:
+            end = self._in.find(b"\r\n\r\n")
+            if (len(self._in) if end < 0 else end) > MAX_HEAD:
+                self.respond((431, [], b"request head too large\n"))
                 return
-            current = node.entries.get(name)
-            if current is not None and current.kind != DOCUMENT:
-                # only documents are visible here: a PUT never replaces a port
-                done.put((404, b"not found\n"))
+            if end < 0:
                 return
-            entry = document_entry(name, body, media)
-            node.post_event(NODE_ORIGIN, insert_event(entry))
-            done.put((201, b"created\n"))
-
-        _submit(server, put)
-    else:
-
-        def delete():
-            node = server.nodes.get(node_path)
-            entry = node.entries.get(name) if node is not None else None
-            if entry is None or entry.kind != DOCUMENT:
-                done.put((404, b"not found\n"))
+            self._head = _parse_head(bytes(self._in[:end]))
+            if self._head is None:
+                self.respond((400, [], b"bad request\n"))
                 return
-            node.post_event(NODE_ORIGIN, remove_event(entry))
-            done.put((204, b""))
+            if self._head[3] > MAX_BODY:
+                self.respond((413, [], b"body too large\n"))
+                return
+            del self._in[:end + 4]
+        method, path, content_type, length = self._head
+        if len(self._in) >= length:
+            body, self._in = bytes(self._in[:length]), None
+            http_request(self._server, method, path, body, content_type, conn=self)
 
-        _submit(server, delete)
-
-    try:
-        status, payload = done.get(timeout=timeout)
-    except queue.Empty:
-        return 504, [], b"timed out\n"
-    return status, [], payload
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.0"  # one request per connection
-
-    def _serve(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length > 0 else b""
-        status, headers, payload = http_request(
-            self.server.npc_server, method, self.path, body,
-            self.headers.get("Content-Type"))
-        self.send_response(status)
-        for key, value in headers:
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        if payload and method != "HEAD":
-            self.wfile.write(payload)
-
-    def do_GET(self):
-        self._serve("GET")
-
-    def do_PUT(self):
-        self._serve("PUT")
-
-    def do_DELETE(self):
-        self._serve("DELETE")
-
-    def do_POST(self):
-        self._serve("POST")
-
-    def do_HEAD(self):
-        self._serve("HEAD")
-
-    def log_message(self, fmt, *args):
-        server = self.server.npc_server
-        if server.tracer is not None:
-            server.tracer.record("http", "request", fmt % args)
-
-
-class HttpFacade:
-    def __init__(self, server, host: str, port: int):
-        self.npc_server = server
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.npc_server = server
-        self.port = self.httpd.server_address[1]
-        self._thread = None
-
-    def start(self) -> None:
-        import threading
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        kwargs={"poll_interval": 0.05}, daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2)
+    def close(self) -> None:
+        """Write the answer, unless the client has gone, and close once it
+        is out."""
+        if not self.closed:
+            self.closed = True
+            status, headers, body = self.answer
+            head = [f"HTTP/1.0 {status} {HTTPStatus(status).phrase}",
+                    *(f"{key}: {value}" for key, value in headers),
+                    f"Content-Length: {len(body)}", "", ""]
+            self._write("\r\n".join(head).encode("latin-1", "replace") + body)
+        super().close()

@@ -4,8 +4,8 @@ The server owns the boring plumbing: building nodes from configuration,
 spawning behaviors when port entries appear, routing inbound channel
 messages to the port that owns the connection, dialing out with firewall
 checks, and driving delivery.  All of it runs on a single driver thread
-(or the sim loop), which also does all npc-tcp socket I/O through one
-selector; other threads (HTTP handlers, ``stop``) only ever enqueue.
+(or the sim loop), which also does all socket I/O, npc-tcp and HTTP,
+through one selector; other threads only ever call ``run_soon`` or ``stop``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from functools import partial
 
 from .filters import FilterError, parse_filter
 from .firewall import IN, OUT, FirewallError, check, parse_rules
-from .gateways import MailStub, RepoStub, TcpListener, Waker, dial_tcp
+from .gateways import MailStub, RepoStub, TcpConn, TcpListener, Waker, dial_tcp
 from .history import NODE_ORIGIN, SUSPEND, insert_event
+from .httpd import HttpConn
 from .model import (DOCUMENT, Entry, EntryUrl, NODE, PORT, PortSpec, UrlError,
                     document_entry, node_entry, parse_url, port_entry,
                     valid_name)
@@ -160,9 +161,8 @@ class Server:
         self._query_counter = 0
         self._ready = ReadyRing()  # of nodes, ticketed in creation order
         self.listener = None
-        self.httpd = None
+        self.httpd = None  # the HTTP listener, when HTTP is on
         self._driver: threading.Thread | None = None
-        self._driver_id = None
         self._selector: selectors.BaseSelector | None = None
         self._waker: Waker | None = None  # wakes the real-mode driver; set by start()
         self._stopping = False
@@ -302,9 +302,8 @@ class Server:
     # -- connections --------------------------------------------------------------------
 
     def enqueue(self, conn, msg: dict) -> None:
+        """Queue ``msg`` from ``conn``; called on the driving thread."""
         self.inbound.append((conn, msg))
-        if self._waker is not None and threading.get_ident() != self._driver_id:
-            self._waker.wake()
 
     def accept_conn(self, conn, peer_host: str | None = None) -> bool:
         if peer_host is not None and not self.allow_inbound(peer_host, self.advertised_port,
@@ -313,6 +312,12 @@ class Server:
             return False
         self._trace("accept", conn.label)
         return True
+
+    def _accept_npc(self, sock, addr) -> None:
+        if not self.allow_inbound(addr[0], self.advertised_port, "npc-tcp"):
+            sock.close()
+            return
+        self.accept_conn(TcpConn(f"tcp:{addr[0]}:{addr[1]}", sock, self.enqueue, self._selector))
 
     def allow_inbound(self, host: str, port: int, protocol: str) -> bool:
         allowed = check(self.config.rules, IN, host, port, protocol)
@@ -388,10 +393,10 @@ class Server:
     # -- inbound dispatch ---------------------------------------------------------------
 
     def run_soon(self, fn) -> None:
-        """Run ``fn`` on the driving thread; gateways use this so node state
+        """Run ``fn`` on the driving thread, from any thread, so node state
         is only ever touched from one place."""
         self.inbound.append((None, fn))
-        if self._waker is not None and threading.get_ident() != self._driver_id:
+        if self._waker is not None:
             self._waker.wake()
 
     def _dispatch(self, item) -> None:
@@ -456,6 +461,7 @@ class Server:
         if b is not None:
             self._hook(b, "on_external", conn, {"kind": BYE})
         self._disown(conn)
+        conn.close()  # a peer that said bye but stays connected holds nothing
 
     # -- driving ------------------------------------------------------------------------
 
@@ -525,17 +531,16 @@ class Server:
 
     def start(self) -> None:
         """Bind sockets and run the driver loop on a background thread."""
-        from .httpd import HttpFacade
         self._selector = selectors.DefaultSelector()
-        self.listener = TcpListener("0.0.0.0", self.config.npc_tcp_port, self, self._selector)
+        self.listener = TcpListener("0.0.0.0", self.config.npc_tcp_port, self._selector,
+                                    self._accept_npc)
         self.advertised_port = self.listener.port  # the one bound, when asked for 0
         self._waker = Waker(self._selector)
         if self.config.http_port is not None:
-            self.httpd = HttpFacade(self, "0.0.0.0", self.config.http_port)
-            self.httpd.start()
+            self.httpd = TcpListener("0.0.0.0", self.config.http_port, self._selector,
+                                     partial(HttpConn, self))
         self._driver = threading.Thread(target=self._drive, daemon=True)
         self._driver.start()
-        self._driver_id = self._driver.ident
 
     def _drive(self) -> None:
         """Fire due timers and run passes.  After a pass that moved
@@ -558,8 +563,8 @@ class Server:
                     if mask & selectors.EVENT_READ:
                         self._guard("socket", key.data.on_readable)
         finally:
-            # the listener, every connection (with a bye) and the waker;
-            # output a peer has not taken by now is dropped
+            # the listeners, every connection (with a bye or its HTTP answer)
+            # and the waker; output a peer has not taken by now is dropped
             for key in list(self._selector.get_map().values()):
                 key.data.close()
             for key in list(self._selector.get_map().values()):
@@ -568,8 +573,6 @@ class Server:
 
     def stop(self) -> None:
         self._stopping = True
-        if self.httpd is not None:
-            self.httpd.stop()
         if self._driver is not None:
             self._waker.wake()
             self._driver.join(timeout=2)

@@ -6,11 +6,14 @@ glob matcher and a replay of the cancellation rules, kept simple enough to
 be obviously correct.  ``ScanNode`` polls every subscription and finds
 each delivery by scanning the history from the subscription's cursor: the
 reference for the node's indexed, queue-fed delivery through its ready
-ring.
+ring.  ``flush``, ``on_driver`` and ``wait_for`` sync a test with a
+real-mode server's driver thread.
 """
 
 import random
 import sys
+import threading
+import time
 import zlib
 
 import pytest
@@ -282,3 +285,27 @@ class ScanNode(Node):
                 self.history.mark_consumed(ev.seq)
                 return port
         return None
+
+
+# -- real mode ---------------------------------------------------------------------------
+
+def flush(server) -> None:
+    """Return once the driver has run every task queued before this call."""
+    done = threading.Event()
+    server.run_soon(done.set)
+    assert done.wait(5), "the driver did not get to the task"
+
+
+def on_driver(server, fn):
+    """What ``fn`` returns when the driver runs it."""
+    out = []
+    server.run_soon(lambda: out.append(fn()))
+    flush(server)
+    return out[0]
+
+
+def wait_for(cond, what: str, within: float = 5) -> None:
+    deadline = time.monotonic() + within
+    while not cond():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)

@@ -1,10 +1,11 @@
-"""Socket gateways: the driver thread owns every npc-tcp socket.
+"""Socket gateways: the driver thread owns every socket.
 
 The real-mode tests here share one server on port 0 and open at most three
 sockets each, except the mirror test, which runs two servers of its own.
 """
 
 import base64
+import http.client
 import socket
 import struct
 import threading
@@ -12,30 +13,17 @@ import time
 
 import pytest
 
+from conftest import flush, on_driver, wait_for
 from npckit.cli import NpcClient
 from npckit.filters import parse_filter
 from npckit.gateways import TcpConn
 from npckit.history import NODE_ORIGIN, insert_event
 from npckit.model import PortSpec, port_entry
 from npckit.server import Server, ServerConfig
-from npckit.wire import MAX_BODY, encode_frame, read_frame
+from npckit.wire import MAX_BODY, bye_frame, encode_frame, read_frame
 
 CONFIG = {"host": "127.0.0.1", "npc_tcp_port": 0,
           "root": {"entries": [{"name": "admin", "kind": "port", "behavior": "admin"}]}}
-
-
-def flush(server: Server) -> None:
-    """Return once the driver has run every task queued before this call."""
-    done = threading.Event()
-    server.run_soon(done.set)
-    assert done.wait(5), "the driver did not get to the task"
-
-
-def wait_for(cond, what: str) -> None:
-    deadline = time.monotonic() + 5
-    while not cond():
-        assert time.monotonic() < deadline, what
-        time.sleep(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -66,30 +54,53 @@ def test_a_stopped_server_leaves_no_thread_and_no_listener():
     for _ in range(2):
         s = Server(ServerConfig.from_dict(dict(CONFIG, http_port=0)), real=True)
         s.start()
-        port = s.advertised_port
+        ports = [s.advertised_port, s.httpd.port]
         s.stop()
         assert not s._driver.is_alive()
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(("127.0.0.1", port), timeout=2).close()
+        for port in ports:
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=2).close()
     assert set(threading.enumerate()) - before == set()
 
 
-def test_a_started_server_runs_the_driver_and_the_http_thread_and_no_more():
+def test_a_started_server_runs_the_driver_and_no_more():
     before = set(threading.enumerate())
-    s = Server(ServerConfig.from_dict(dict(CONFIG, http_port=0)), real=True)
+    config = dict(CONFIG, http_port=0, root={"entries": CONFIG["root"]["entries"] + [
+        {"name": "page", "kind": "document", "content_text": "hi"}]})
+    s = Server(ServerConfig.from_dict(config), real=True)
     s.start()
     clients = []
     try:
-        assert set(threading.enumerate()) - before == {s._driver, s.httpd._thread}
+        assert set(threading.enumerate()) - before == {s._driver}
+        for _ in range(3):
+            conn = http.client.HTTPConnection("127.0.0.1", s.httpd.port, timeout=5)
+            conn.request("GET", "/root/page")
+            assert conn.getresponse().read() == b"hi"
+            conn.close()
         clients = [NpcClient(admin_url(s), timeout=5) for _ in range(3)]
         for c in clients:
             assert c.roundtrip({"kind": "cmd", "op": "list"})["kind"] == "ack"
-        # three open connections, and not one thread more
-        assert set(threading.enumerate()) - before == {s._driver, s.httpd._thread}
+        # three HTTP requests served, three open connections, no thread more
+        assert set(threading.enumerate()) - before == {s._driver}
     finally:
         for c in clients:
             c.close()
         s.stop()
+
+
+def test_a_peer_that_says_bye_and_stays_connected_holds_no_socket(server):
+    held = 2  # the listener and the waker
+    with raw(server) as a, raw(server) as b, raw(server) as c:
+        for s in (a, b, c):
+            s.sendall(hello(server))
+            assert read_frame(s.recv)["kind"] == "hello"
+        assert on_driver(server, lambda: len(server._selector.get_map())) >= held + 3
+        for s in (a, b, c):
+            s.sendall(bye_frame())
+        wait_for(lambda: on_driver(server, lambda: len(server._selector.get_map())) == held,
+                 "a peer that said bye still holds its socket", within=1)
+        for s in (a, b, c):
+            assert read_frame(s.recv) is None  # end of stream
 
 
 class RecordingSocket:

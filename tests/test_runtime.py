@@ -253,6 +253,34 @@ def test_an_oversize_reply_becomes_an_error_reply(monkeypatch):
     assert not [line for line in run.tracer.lines() if "\tfault\t" in line]
 
 
+@pytest.mark.parametrize("msg", [
+    {"kind": "cmd", "op": []},
+    {"kind": "cmd", "op": {}},
+    {"kind": "pull", "filter": 123},
+    {"kind": "pull", "filter": ["a"]},
+    {"kind": "pull", "after": True},
+    {"kind": "cmd", "op": "history", "filter": None},
+    {"kind": "cmd", "op": "history", "max": False},
+], ids=["op-list", "op-object", "pull-filter-int", "pull-filter-list", "pull-after-bool",
+        "history-filter-null", "history-max-bool"])
+def test_a_malformed_field_is_refused_and_the_admin_port_answers_on(msg):
+    run = SimRun()
+    run.add_server(build_preset("doc-server")[0])
+    run.quiesce()
+    run.connect("c", "npc://web:7070/root/admin")
+    run.take_replies("c")
+    server = run.server("web")
+    last = server.root.history.last_seq
+    run.send("c", msg)
+    reply, = run.take_replies("c")
+    assert reply["kind"] == "error" and reply["code"] == "malformed", reply
+    assert server.faults == 0
+    assert server.root.entries["admin"].kind == PORT
+    run.send("c", LIST)
+    assert listed(run.take_replies("c")) == ["admin", "welcome"]
+    assert server.root.history.last_seq == last
+
+
 def test_an_oversize_forward_is_traced_as_a_drop(monkeypatch):
     """A document too big to frame cannot reach the other side of a
     mirror; the forwarder says so in the trace and forwards on."""
@@ -478,16 +506,16 @@ RECV = {"recv", "recv_into", "recvfrom", "recvfrom_into", "recvmsg"}
 
 
 def test_threads_start_only_in_start_and_sockets_are_read_only_by_connections():
-    """Two threads at most: ``Server.start`` starts the driver and
-    ``HttpFacade.start`` the HTTP server's.  A server's socket is read only
-    by its ``TcpConn``, on the driver, and the driver's waker reads its own
-    socketpair; a connection with a reader thread of its own would need a
-    read somewhere else.  (``NpcClient`` is the client end, read on its
-    caller's thread.)"""
+    """One thread: ``Server.start`` starts the driver.  A server's socket
+    is read only by its ``TcpConn`` (an ``HttpConn`` reads through it), on
+    the driver, and the driver's waker reads its own socketpair; a
+    connection with a reader thread of its own would need a read somewhere
+    else.  (``NpcClient`` is the client end, read on its caller's
+    thread.)"""
     threads, reads = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        may_thread = inside(tree, "Server", "start") | inside(tree, "HttpFacade", "start")
+        may_thread = inside(tree, "Server", "start")
         may_read = inside(tree, "TcpConn") | inside(tree, "Waker") | inside(tree, "NpcClient")
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and id(node) not in may_thread
