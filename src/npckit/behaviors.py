@@ -27,7 +27,8 @@ from .model import (DOCUMENT, PORT, PortSpec, document_entry, port_entry, valid_
                     validate_entry)
 from .ports import BEHAVIORS, Behavior, behavior
 from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError,
-                   entry_from_json, entry_to_json, event_from_json, event_to_json)
+                   entry_from_json, entry_to_json, event_from_json, event_to_json,
+                   json_size, room_in)
 
 
 def _type_is(kind: str) -> Cmp:
@@ -101,7 +102,12 @@ def admit_push(ctx, conn, msg: dict) -> None:
 def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
     """Answer a pull with the live events after ``after`` that pass both the
     port's input filter and the pull's own filter.  Pulled events are
-    tagged with this node's URL unless ``tag`` is false."""
+    tagged with this node's URL unless ``tag`` is false.
+
+    The ack holds as many events as one frame can carry; when that is
+    fewer than were asked for, it answers ``at_end`` false with ``last`` at
+    the last event it holds.  An event too big for any frame is passed
+    over and traced as a ``drop``, so that the puller moves past it."""
     text = msg.get("filter", "true")
     after = msg.get("after", 0)
     max_events = msg.get("max", 256)
@@ -119,11 +125,26 @@ def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
     spec = ctx.spec
     effective = And(spec.input_filter, filt) if spec is not None else filt
     events, last, at_end = ctx.node.read_for_pull(after, effective, max_events)
-    if tag:
-        url = ctx.node_url().text()
-        events = [tagged_with_origin(e, url) for e in events]
-    conn.send({"kind": ACK, "events": [event_to_json(e) for e in events],
-               "last": last, "at_end": at_end})
+    url = ctx.node_url().text() if tag else None
+    # the room for events once ``last`` is as long as it can get; n events
+    # take n - 1 commas, so each counts one and one is given back here
+    room = 1 + room_in({"kind": ACK, "events": [], "at_end": False,
+                        "last": max(after, ctx.node.history.last_seq, key=lambda v: len(str(v)))})
+    packed, left, passed = [], room, after
+    for ev in events:
+        raw = event_to_json(tagged_with_origin(ev, url) if tag else ev)
+        size = json_size(raw) + 1
+        if size > room:
+            ctx.trace("drop", f"{ev.kind} {ev.entry.name if ev.entry else ''} "
+                              f"too big to pull")
+        elif size > left:
+            last, at_end = passed, False
+            break
+        else:
+            packed.append(raw)
+            left -= size
+        passed = ev.seq
+    conn.send({"kind": ACK, "events": packed, "last": last, "at_end": at_end})
 
 
 # ---------------------------------------------------------------------------

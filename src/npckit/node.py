@@ -4,8 +4,14 @@ A node is a single sequential process.  Ports post events to it; accepted
 entry events land in the history and are then delivered, one per step, to
 the subscriptions whose effective filter matches.  A filter index routes
 each appended event to the queue of every subscription it matches, and
-delivery walks a ring over the subscriptions so that no consumer starves;
-the walk only visits subscriptions that have something to deliver.
+delivery serves the ready subscriptions round-robin so that no consumer
+starves.
+
+A subscription's cursor moves only when that subscription is served: past
+each event it takes from its queue, delivered or passed over, and to the
+end of the history when the node sends it its end-of-history Suspend.
+Serving other subscriptions never moves it.  A Receive rescans the history
+from the cursor with the new filter.
 
 Flow control follows the port protocol: a Receive arms a subscription, a
 Suspend from the port pauses it, a Resume rearms it, and when a subscription
@@ -55,7 +61,6 @@ class Subscription:
     offered: set = field(default_factory=set)
     ticket: int = 0  # place in the delivery ring
     ready: bool = False
-    idle_since: int | None = None  # sweep number, while armed but not ready
 
     @property
     def key(self) -> tuple[str, str]:
@@ -73,27 +78,14 @@ class Holdings:
 class ReadyRing:
     """Round-robin over ticketed members, visiting only the ready ones.
 
-    Tickets only grow, so ticket order is ring order.  A walk begins at the
-    first member whose ticket is at least ``start``, wrapping around, and
-    serves the first ready member it meets.
-
-    A walk counts as a poll of every member it passes, and a poll moves the
-    cursor of an armed subscription with nothing to deliver to the end of
-    the history as it is then.  Instead of touching those members, the
-    ring numbers its walks as sweeps and the effect is applied when a
-    member next changes state.  A full walk passes every member; ``sweeps``
-    holds ``(number, lo, hi, mark)`` for each partial walk since the last
-    full one: it passed the tickets from ``lo`` up to, not including, ``hi``
-    (wrapping when ``hi < lo``).  ``mark`` is where a walk moved cursors.
+    Tickets only grow, so ticket order is ring order.  The next turn goes
+    to the first ready member whose ticket is at least ``start``, wrapping
+    around.
     """
 
     def __init__(self):
         self.ready: list[tuple] = []  # (ticket, member), ascending
         self.start = 0
-        self.swept_no = 0
-        self.full_no = 0  # number and mark of the last full sweep
-        self.full_mark = 0
-        self.sweeps: list[tuple] = []
 
     def add(self, ticket: int, member) -> None:
         insort(self.ready, (ticket, member))
@@ -105,26 +97,6 @@ class ReadyRing:
         """The first ready member at or after ticket ``pos``, wrapping."""
         i = bisect_left(self.ready, (pos,))
         return self.ready[i if i < len(self.ready) else 0]
-
-    def swept(self, lo: int | None, hi: int | None, mark: int = 0) -> None:
-        """Record a walk from ``lo`` up to ``hi``; a full one when ``lo`` is
-        None."""
-        self.swept_no += 1
-        if lo is None:
-            self.full_no, self.full_mark = self.swept_no, mark
-            self.sweeps.clear()
-        elif lo != hi:
-            self.sweeps.append((self.swept_no, lo, hi, mark))
-
-    def last_sweep(self, ticket: int, since: int) -> int | None:
-        """Mark of the latest sweep after number ``since`` that passed
-        ``ticket``; None when there was none."""
-        for no, lo, hi, mark in reversed(self.sweeps):
-            if no <= since:
-                return None
-            if lo <= ticket < hi if lo < hi else (ticket >= lo or ticket < hi):
-                return mark
-        return self.full_mark if self.full_no > since else None
 
 
 @dataclass
@@ -164,7 +136,6 @@ class Node:
         # (ring, ticket) of this node in the ready ring of the server that
         # drives it
         self.slot = None
-        self._seen = 0  # the last of the server's sweeps applied here
         self._ring = ReadyRing()
         self._tickets = 0
         self._table = ValueMap()  # entry field -> value -> names, as looked up
@@ -204,7 +175,6 @@ class Node:
         port's own delivery and a port with data-only filters could never
         subscribe otherwise.
         """
-        self._catch_up()
         if ev.seq != 0:
             raise NodeError("already-stamped", f"seq {ev.seq}")
         if ev.kind not in KINDS:
@@ -247,7 +217,6 @@ class Node:
         if from_port == NODE_ORIGIN:
             raise NodeError("bad-kind", "the node does not subscribe to itself")
         sub, _created = self._sub_for(from_port, ev)
-        self._settle(sub)
         sub.dyn_filter = ev.filter if ev.filter is not None else TRUE
         sub.flag = True
         sub.at_end_notified = False
@@ -405,7 +374,7 @@ class Node:
         if sub.ready:
             self._file_ready(sub, False)
         if not self.subs or self._ring.start > self._last_ticket():
-            # nothing left at or after the start: the next walk wraps
+            # nothing left at or after the start: the next turn wraps
             self._ring.start = 0
 
     def _last_ticket(self) -> int:
@@ -439,8 +408,10 @@ class Node:
         return None
 
     def _take_next(self, sub: Subscription) -> Event | None:
-        """Like _peek but pops the queue up to the event it returns; the
-        caller then moves the cursor past that event."""
+        """Like _peek but pops the queue up to the event it returns, moving
+        the cursor past each event it skips; the caller then moves it past
+        the event returned.  With the queue empty, the cursor moves to the
+        end of the history only if the end-of-history Suspend is due."""
         while sub.pending:
             seq = sub.pending.popleft()
             ev = self.history.get(seq)
@@ -448,23 +419,20 @@ class Node:
                 continue
             if self._skippable(sub, ev):
                 sub.offered.discard(seq)
+                sub.cursor = seq + 1
                 continue
             return ev
-        sub.cursor = max(sub.cursor, self.history.last_seq + 1)
+        if not sub.at_end_notified:
+            sub.cursor = max(sub.cursor, self.history.last_seq + 1)
         return None
 
     def _refresh(self, sub: Subscription) -> None:
         """File ``sub`` in the ready ring, or take it out, after its state
         changed.  It is ready while armed with queued events or an unsent
         end-of-history Suspend."""
-        self._settle(sub)
         ready = sub.flag and (bool(sub.pending) or not sub.at_end_notified)
         if ready != sub.ready:
             self._file_ready(sub, ready)
-        if not sub.flag or ready:
-            sub.idle_since = None
-        elif sub.idle_since is None:
-            sub.idle_since = self._ring.swept_no
 
     def _file_ready(self, sub: Subscription, ready: bool) -> None:
         sub.ready = ready
@@ -480,26 +448,6 @@ class Node:
             else:
                 ring.discard(ticket)
 
-    def _settle(self, sub: Subscription) -> None:
-        """Give an armed subscription with nothing to deliver the cursor
-        that the walks passing over it would have left: the end of the
-        history as it was at the last of them."""
-        if sub.idle_since is not None:
-            mark = self._ring.last_sweep(sub.ticket, sub.idle_since)
-            if mark is not None:
-                sub.cursor = max(sub.cursor, mark)
-            sub.idle_since = self._ring.swept_no
-
-    def _catch_up(self) -> None:
-        """Apply the server's walks that passed over this node since the
-        last call: each one polled every subscription here."""
-        if self.slot is not None:
-            ring, ticket = self.slot
-            if ring.swept_no != self._seen:
-                if ring.last_sweep(ticket, self._seen) is not None:
-                    self._ring.swept(None, None, self.history.last_seq + 1)
-                self._seen = ring.swept_no
-
     def deliver_step(self) -> Delivered | None:
         """Deliver at most one event to the next ready subscription in ring
         order; returns None when no subscription is ready.
@@ -508,24 +456,22 @@ class Node:
         with a node-issued Suspend (its receive flag drops until it posts
         Resume); the notification is not repeated until something new was
         actually delivered, so an idle pair of ports cannot ping-pong
-        Suspend and Resume forever.
+        Suspend and Resume forever.  Serving a subscription moves only its
+        own cursor (see the module docstring).
         """
-        self._catch_up()
         ring = self._ring
-        mark = self.history.last_seq + 1
         pos = ring.start
         while ring.ready:
             ticket, sub = ring.first_ready(pos)
             ev = self._take_next(sub)
             if ev is None and sub.at_end_notified:
-                # polled dry: it leaves the ready set and the walk goes on
+                # nothing for it after all: it leaves the ring, the next is served
                 self._refresh(sub)
                 pos = ticket + 1
                 continue
-            ring.swept(ring.start, ticket, mark)
             ring.start = ticket + 1 if ticket < self._last_ticket() else 0
             if ev is not None:
-                sub.cursor = max(sub.cursor, ev.seq + 1)
+                sub.cursor = ev.seq + 1
                 if ev.kind in (INSERT, REMOVE, TIME):
                     sub.at_end_notified = False
                 self._refresh(sub)
@@ -543,7 +489,6 @@ class Node:
                         actor=self._port_actor(sub.port))
             self._sink(sub.port, notice, sub.name)
             return Delivered(sub.port, sub.name, notice)
-        ring.swept(None, None, mark)
         return None
 
     def _sink(self, port: str, ev: Event, sub_name: str):

@@ -476,12 +476,10 @@ class Server:
         pos = ring.start
         while ring.ready:
             ticket, node = ring.first_ready(pos)
-            ring.swept(ring.start, ticket)
             if node.deliver_step() is not None:
                 ring.start = (ticket + 1) % n
                 return True
             pos = ticket + 1
-        ring.swept(None, None)
         return False
 
     def drain(self, limit: int = 100000) -> int:

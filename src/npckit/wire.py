@@ -36,12 +36,26 @@ class WireError(Exception):
         self.code = code
 
 
+def _json(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False,
+                      sort_keys=True).encode("utf-8")
+
+
+def json_size(obj) -> int:
+    """Bytes that ``obj`` takes inside a frame body."""
+    return len(_json(obj))
+
+
+def room_in(msg: dict) -> int:
+    """Bytes left under ``MAX_BODY`` in the body of ``msg``'s frame."""
+    return MAX_BODY - json_size({**msg, "v": VERSION})
+
+
 def encode_frame(msg: dict) -> bytes:
     """Serialize a message dict (without ``v``; it is added here)."""
     body = dict(msg)
     body["v"] = VERSION
-    data = json.dumps(body, separators=(",", ":"), ensure_ascii=False,
-                      sort_keys=True).encode("utf-8")
+    data = _json(body)
     if len(data) > MAX_BODY:
         raise WireError("oversize", f"{len(data)} byte body")
     return struct.pack(">I", len(data)) + data
@@ -121,10 +135,6 @@ def _recv_exact(recv, n: int, allow_eof: bool):
 
 def bye_frame() -> bytes:
     return encode_frame({"kind": BYE})
-
-
-def error_frame(code: str, message: str = "") -> bytes:
-    return encode_frame({"kind": ERROR, "code": code, "message": message})
 
 
 # ---------------------------------------------------------------------------

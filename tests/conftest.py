@@ -10,6 +10,8 @@ ring.  ``flush``, ``on_driver`` and ``wait_for`` sync a test with a
 real-mode server's driver thread.
 """
 
+import os
+import pathlib
 import random
 import sys
 import threading
@@ -24,6 +26,13 @@ from npckit.history import (CLOSE, INSERT, NODE_ORIGIN, REMOVE, RESUME, SUSPEND,
 from npckit.model import (DOCUMENT, NODE, PORT, PortSpec, document_entry,
                           node_entry, port_entry)
 from npckit.node import Delivered, Node
+
+
+# pytest puts src/ on this process's path (pyproject.toml); the npcd
+# processes that tests start need it on theirs
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 @pytest.fixture
@@ -192,7 +201,9 @@ class ScanNode(Node):
     one delivers, each delivery is found by reading the history from the
     subscription's cursor through its effective filter, and an exclusive
     event is offered after evaluating every subscription's filter.  The
-    per-subscription queues and the ready ring are ignored."""
+    per-subscription queues are ignored.  Readiness is found by the same
+    scan and refreshed after every step, so that a ``Server`` can drive
+    this node through its ring of ready nodes."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -225,11 +236,17 @@ class ScanNode(Node):
                 continue
             return ev
 
+    def _refresh(self, sub):
+        ready = sub.flag and (not sub.at_end_notified or self._peek(sub) is not None)
+        if ready != sub.ready:
+            self._file_ready(sub, ready)
+
     def _take_next(self, sub):
         while True:
             ev, nxt = self.history.read_after(sub.cursor, self._effective(sub))
             if ev is None:
-                sub.cursor = max(sub.cursor, nxt)
+                if not sub.at_end_notified:
+                    sub.cursor = max(sub.cursor, nxt)
                 return None
             if self._skippable(sub, ev):
                 sub.offered.discard(ev.seq)
@@ -238,6 +255,12 @@ class ScanNode(Node):
             return ev
 
     def deliver_step(self):
+        d = self._poll()
+        for sub in list(self.subs.values()):
+            self._refresh(sub)
+        return d
+
+    def _poll(self):
         ring = self._scan_ring
         n = len(ring)
         for i in range(n):

@@ -55,6 +55,8 @@ def doc(name, meta=None, body=b"x"):
 
 
 DOCS = parse_filter('entry.kind == "document"')
+NEWS = parse_filter('meta.topic == "news"')
+SPORTS = parse_filter('meta.topic == "sports"')
 
 
 def drain(node, limit=1000):
@@ -626,25 +628,105 @@ def test_delivery_agrees_with_scan_reference(rng, max_history):
 
 
 @pytest.mark.parametrize("reference", [True, False])
-def test_a_walk_moves_the_cursors_it_passes_over(reference):
-    # a walk to a delivery moves the cursor of every armed, caught-up
-    # subscription it passes; a re-Receive starts from there, so the
-    # backlog it scans leaves out what the walk had already seen
+def test_a_re_receive_starts_where_its_own_suspend_left_the_cursor(reference):
+    # a cursor moves only through its subscription's own walk: the walk to
+    # c that passes b, armed and caught up, after x was appended leaves b's
+    # cursor where b's end-of-history Suspend put it, so a wider re-Receive
+    # of b gets x
     n = ScanNode() if reference else Node()
     add_port(n, "in")
     b = add_port(n, "b", auto_resume=True)
     c = add_port(n, "c")
-    n.post_event("b", receive_event("default", parse_filter('meta.topic == "news"')))
-    n.post_event("c", receive_event("default", parse_filter('meta.topic == "sports"')))
+    n.post_event("b", receive_event("default", NEWS))
+    n.post_event("c", receive_event("default", SPORTS))
     drain(n)  # both caught up; b re-armed itself, c waits
     n.post_event("c", resume_event())
     n.post_event("in", insert_event(doc("x", meta={"topic": "sports"})))
-    # the walk to c passes b after x was appended
     assert n.deliver_step().event.entry.name == "x"
     n.post_event("b", receive_event("default", DOCS))
     drain(n)
-    assert [e.kind for e in b.got] == [SUSPEND, SUSPEND]
+    assert [e.entry.name if e.entry else e.kind for e in b.got] == [SUSPEND, "x", SUSPEND]
     assert [e.entry.name for e in c.got if e.entry is not None] == ["x"]
+
+
+@pytest.mark.parametrize("reference", [True, False])
+def test_passing_over_an_event_moves_the_cursor_past_it_and_no_further(reference):
+    # b's turn passes over y, its own event, and ends there: b was sent its
+    # Suspend before, so x, appended after y, stays ahead of the cursor
+    n = ScanNode() if reference else Node()
+    add_port(n, "in")
+    b = add_port(n, "b", auto_resume=True)
+    n.post_event("b", receive_event("default", NEWS))
+    drain(n)
+    n.post_event("b", insert_event(doc("y", meta={"topic": "news"})))
+    n.post_event("in", insert_event(doc("x", meta={"topic": "sports"})))
+    assert drain(n) == []
+    n.post_event("b", receive_event("default", DOCS))
+    drain(n)
+    assert [e.entry.name if e.entry else e.kind for e in b.got] == [SUSPEND, "x", SUSPEND]
+
+
+@pytest.mark.parametrize("reference", [True, False])
+def test_an_exclusive_event_passed_over_is_not_delivered_again(reference):
+    # b declined e when it was offered; its turn then passes over e, so a
+    # re-Receive does not bring e back
+    n = ScanNode() if reference else Node()
+    add_port(n, "in")
+    b = add_port(n, "b", auto_resume=True)
+    n.post_event("b", receive_event("default", NEWS))
+    drain(n)
+    n.post_event("in", insert_event(doc("e", meta={"topic": "news", "exclusive": "true"})))
+    assert drain(n) == []
+    n.post_event("b", receive_event("default", DOCS))
+    drain(n)
+    assert [e.entry.name if e.entry else e.kind for e in b.got] == [SUSPEND, "e", SUSPEND]
+
+
+def some_filter(r):
+    return r.choice([NEWS, SPORTS, DOCS, rand_access_filter(r)])
+
+
+@pytest.mark.parametrize("node_cls", [ScanNode, Node])
+def test_what_a_re_receive_gets_does_not_depend_on_other_walks(rng, node_cls):
+    # the same script twice; the second time, unrelated subscriptions are
+    # armed and delivered to between its steps whenever r has nothing ready
+    import random as _random
+    for round_no in range(30):
+        seed = rng.randrange(1 << 30)
+        script = _random.Random(seed)
+        steps = []
+        for _ in range(20):
+            roll = script.random()
+            if roll < 0.5:
+                meta = {"topic": script.choice(["news", "sports"])}
+                steps.append(("in", insert_event(doc(f"d{script.randrange(6)}", meta=meta))))
+            elif roll < 0.65:
+                steps.append(("in", remove_event(doc(f"d{script.randrange(6)}"))))
+            else:
+                # r narrows or widens its filter, and delivery catches up
+                steps.append(("r", receive_event("default", some_filter(script))))
+        between = [script.random() < 0.5 for _ in steps]
+        extras = [some_filter(script) for _ in range(3)]
+        runs = []
+        for others in (False, True):
+            n = node_cls()
+            add_port(n, "in")
+            r = add_port(n, "r", auto_resume=True)
+            for i in range(len(extras)):
+                add_port(n, f"x{i}")
+            n.post_event("r", receive_event("default", DOCS))
+            drain(n)
+            for (port, ev), interleave in zip(steps, between):
+                n.post_event(port, ev)
+                if port == "r":
+                    drain(n)
+                if others and interleave and not n.subs[("r", "default")].ready:
+                    for i, filt in enumerate(extras):
+                        n.post_event(f"x{i}", receive_event("default", filt))
+                    drain(n)
+            drain(n)
+            runs.append([(e.kind, e.seq) for e in r.got])
+        assert runs[0] == runs[1], f"round {round_no} seed {seed}"
 
 
 def test_queue_of_a_paused_subscription_stays_bounded():

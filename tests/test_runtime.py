@@ -300,6 +300,54 @@ def test_an_oversize_forward_is_traced_as_a_drop(monkeypatch):
     assert a.faults == b.faults == 0
 
 
+def test_a_pull_passes_over_an_event_it_cannot_frame(monkeypatch):
+    """A document too big for any frame must not wedge a puller: the origin
+    passes over it, says so in the trace, and serves what follows."""
+    run = SimRun()
+    for config in build_preset("retrieval"):
+        run.add_server(config)
+    run.quiesce()
+    monkeypatch.setattr(wire, "MAX_BODY", 4096)
+    origin, cache = run.server("origin"), run.server("cache")
+    origin.root.post_event("admin", insert_event(document_entry("big", b"x" * 6000)))
+    origin.root.post_event("admin", insert_event(document_entry("small", b"y")))
+    for _ in range(50):
+        run.tick(10)
+    assert {"seed", "small"} <= set(cache.root.entries)
+    assert "big" not in cache.root.entries
+    lines = run.tracer.lines()
+    assert not [line for line in lines if "\trecv\terror" in line]
+    drops = [line for line in lines if "\tdrop\t" in line]
+    assert len(drops) == 1 and "Insert big too big to pull" in drops[0]
+    assert origin.faults == cache.faults == 0
+
+
+@pytest.mark.parametrize("msg", [{"kind": "pull", "max": 0},
+                                 {"kind": "cmd", "op": "history", "max": 0}],
+                         ids=["pull", "history"])
+def test_an_unbounded_pull_of_a_long_history_comes_in_frames(monkeypatch, msg):
+    run = admin_run()
+    server = run.server("a")
+    names = [f"d{i:02}" for i in range(20)]
+    for name in names:
+        server.root.post_event("admin", insert_event(document_entry(name, b"x" * 500)))
+    monkeypatch.setattr(wire, "MAX_BODY", 4096)
+    got, after, acks = [], 0, 0
+    while True:
+        run.send("c", {**msg, "after": after})
+        reply, = run.take_replies("c")
+        assert reply["kind"] == "ack" and reply["events"], reply
+        acks += 1
+        got += [e["entry"]["name"] for e in reply["events"] if "entry" in e]
+        if reply["at_end"]:
+            break
+        assert reply["last"] == reply["events"][-1]["seq"]
+        after = reply["last"]
+    assert acks > 1
+    assert [name for name in got if name.startswith("d")] == names
+    assert not [line for line in run.tracer.lines() if "\tdrop\t" in line]
+
+
 def test_behavior_hooks_are_entered_only_through_the_server_choke_point():
     """A direct call, or a bound hook handed out, would bypass fault
     handling; only ``Server._hook`` may touch the hooks."""

@@ -9,8 +9,9 @@ from npckit.model import DOCUMENT, PORT, PortSpec, document_entry, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import ConfigError, Server, ServerConfig
 from npckit.wire import event_to_json
+from npckit import server as server_module
 
-from conftest import lines_run
+from conftest import ScanNode, lines_run
 
 
 class ManualClock:
@@ -512,20 +513,35 @@ class Watcher(Behavior):
         return False
 
 
-def test_a_drain_moves_caught_up_cursors_past_what_it_saw(monkeypatch):
-    # a drain that ends passes every subscription of every node, moving
-    # each caught-up cursor to the end of the history; a re-Receive starts
-    # there
+class DocWatcher(Watcher):
+    """Keeps receiving every document."""
+
+    def on_start(self) -> None:
+        self.ctx.receive("default", parse_filter('entry.kind == "document"'))
+
+
+@pytest.mark.parametrize("reference", [True, False])
+def test_a_drain_leaves_other_cursors_where_their_own_walks_put_them(monkeypatch, reference):
+    # the drain that delivers "old" to d passes w, armed and caught up; w's
+    # cursor stays where w's own end-of-history Suspend put it, so a wider
+    # re-Receive of w gets "old" as well as "new"
+    if reference:
+        monkeypatch.setattr(server_module, "Node", ScanNode)
     monkeypatch.setitem(BEHAVIORS, "watcher", Watcher)
-    s = make_server(entries=[{"name": "w", "kind": "port", "behavior": "watcher"}])
+    monkeypatch.setitem(BEHAVIORS, "docs", DocWatcher)
+    s = make_server(entries=[{"name": "w", "kind": "port", "behavior": "watcher"},
+                             {"name": "d", "kind": "port", "behavior": "docs"}])
+    assert isinstance(s.root, ScanNode) == reference
     s.settle()
     watcher = s.behavior_at(("root",), "w")
+    docs = s.behavior_at(("root",), "d")
     s.root.post_event(NODE_ORIGIN, insert_event(document_entry("old", b"x")))
-    assert s.drain() == 0
+    s.settle()
+    assert docs.got == ["old"] and watcher.got == []
     s.root.post_event(NODE_ORIGIN, insert_event(document_entry("new", b"x")))
     s.root.post_event("w", receive_event("default", parse_filter('entry.kind == "document"')))
     s.settle()
-    assert watcher.got == ["new"]
+    assert watcher.got == ["old", "new"]
 
 
 def test_idle_drain_work_does_not_grow_with_the_tree(monkeypatch):

@@ -11,7 +11,7 @@ from npckit.history import Event, INSERT
 from npckit.model import Document, PortSpec, document_entry, node_entry, port_entry
 from npckit.wire import (FrameBuffer, MAX_BODY, WireError, bye_frame, decode_body,
                          encode_frame, entry_from_json, entry_to_json,
-                         error_frame, event_from_json, event_to_json, read_frame)
+                         event_from_json, event_to_json, read_frame)
 
 
 def roundtrip_frame(msg):
@@ -122,11 +122,6 @@ def test_read_frame_mid_frame_eof_is_malformed():
     with pytest.raises(WireError) as exc:
         read_frame(recv)
     assert exc.value.code == "malformed"
-
-
-def test_error_frame_shape():
-    msg = roundtrip_frame(decode_body(error_frame("not-found", "no such entry")[4:]))
-    assert msg["kind"] == "error" and msg["code"] == "not-found"
 
 
 # ---------------------------------------------------------------------------
