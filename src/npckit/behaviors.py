@@ -28,7 +28,7 @@ from .model import (DOCUMENT, PORT, PortSpec, document_entry, port_entry, valid_
 from .ports import BEHAVIORS, Behavior, behavior
 from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError,
                    entry_from_json, entry_to_json, event_from_json, event_to_json,
-                   json_size, room_in)
+                   get_int, json_size, room_in)
 
 
 def _type_is(kind: str) -> Cmp:
@@ -104,46 +104,50 @@ def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
     port's input filter and the pull's own filter.  Pulled events are
     tagged with this node's URL unless ``tag`` is false.
 
-    The ack holds as many events as one frame can carry; when that is
-    fewer than were asked for, it answers ``at_end`` false with ``last`` at
-    the last event it holds.  An event too big for any frame is passed
-    over and traced as a ``drop``, so that the puller moves past it."""
+    The ack holds as many events as one frame can carry, and at most
+    ``max`` when that is positive; when the history holds more, it answers
+    ``at_end`` false with ``last`` at the last event it holds.  Events are
+    read only as far as the ack goes.  An event too big for any frame is
+    passed over and traced as a ``drop``, so that the puller moves past
+    it."""
     text = msg.get("filter", "true")
-    after = msg.get("after", 0)
-    max_events = msg.get("max", 256)
     if not isinstance(text, str):
         _err(conn, "malformed", "filter must be a string")
         return
-    if type(after) is not int or type(max_events) is not int:  # nor a bool
-        _err(conn, "malformed", "after and max must be integers")
-        return
     try:
+        after = get_int(msg, "after", 0)
+        max_events = get_int(msg, "max", 256)
         filt = parse_filter(text)
-    except FilterError as e:
+    except (WireError, FilterError) as e:
         _err(conn, e.code, str(e))
         return
     spec = ctx.spec
     effective = And(spec.input_filter, filt) if spec is not None else filt
-    events, last, at_end = ctx.node.read_for_pull(after, effective, max_events)
     url = ctx.node_url().text() if tag else None
+    history = ctx.node.history
     # the room for events once ``last`` is as long as it can get; n events
     # take n - 1 commas, so each counts one and one is given back here
     room = 1 + room_in({"kind": ACK, "events": [], "at_end": False,
-                        "last": max(after, ctx.node.history.last_seq, key=lambda v: len(str(v)))})
-    packed, left, passed = [], room, after
-    for ev in events:
+                        "last": max(after, history.last_seq, key=lambda v: len(str(v)))})
+    limit = max_events if max_events > 0 else None  # else what one frame holds
+    packed, left, taken, last, at_end = [], room, 0, after, False
+    for ev in ctx.node.read_for_pull(after, effective):
+        if taken == limit:
+            break
         raw = event_to_json(tagged_with_origin(ev, url) if tag else ev)
         size = json_size(raw) + 1
         if size > room:
             ctx.trace("drop", f"{ev.kind} {ev.entry.name if ev.entry else ''} "
                               f"too big to pull")
         elif size > left:
-            last, at_end = passed, False
             break
         else:
             packed.append(raw)
             left -= size
-        passed = ev.seq
+        taken += 1
+        last = ev.seq
+    else:  # the walk ran out
+        last, at_end = max(after, history.last_seq), True
     conn.send({"kind": ACK, "events": packed, "last": last, "at_end": at_end})
 
 
@@ -409,9 +413,6 @@ class PullerBehavior(Behavior):
                 self.cursor = max(self.cursor, msg["last"])
             if not msg.get("at_end", True):
                 self._pull()
-        elif kind == BYE:
-            if conn is self.conn:
-                self.conn = None
 
 
 # ---------------------------------------------------------------------------

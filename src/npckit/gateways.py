@@ -16,6 +16,7 @@ import threading
 
 from .filters import eval_filter, parse_filter
 from .history import Event, INSERT
+from . import wire  # wire.decode_body, looked up at each call as bench/spans.py wraps it
 from .wire import ERROR, FrameBuffer, WireError, bye_frame, encode_frame
 
 RECV_SIZE = 65536
@@ -65,10 +66,8 @@ class LoopbackConn(Conn):
     def send(self, msg: dict) -> bool:
         if self.closed or self._peer is None or self._peer.closed:
             return False
-        data, whole = _frame(msg)
-        buf = FrameBuffer()
-        buf.feed(data)
-        self._put(self._peer, buf.pop())
+        frame, whole = _frame(msg)
+        self._put(self._peer, wire.decode_body(frame[4:]))
         return whole
 
     def close(self) -> None:
@@ -310,8 +309,6 @@ def dial_tcp(host: str, port: int, enqueue, selector, timeout: float = 5.0) -> T
 class MailStub:
     """Outgoing mail sink; deliveries pile up in ``outbox`` for inspection."""
 
-    protocol = "stub"
-
     def __init__(self, name: str = "mail"):
         self.name = name
         self.outbox: list[dict] = []
@@ -323,8 +320,6 @@ class MailStub:
 class RepoStub:
     """Queryable document store; queries are filter text evaluated against
     each document as if it were freshly inserted."""
-
-    protocol = "stub"
 
     def __init__(self, name: str, entries=()):
         self.name = name

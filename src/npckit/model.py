@@ -17,16 +17,6 @@ NAME_RE = re.compile(r"[A-Za-z0-9._-]{1,128}")
 DOCUMENT = "document"
 NODE = "node"
 PORT = "port"
-ENTRY_KINDS = (DOCUMENT, NODE, PORT)
-
-#: Metadata keys with kit-defined meaning. Values are free-form strings
-#: otherwise: origin-node tags replicas with the URL of the node a copy came
-#: from, priority orders candidates for exclusive consumption, query carries
-#: filter text on query ports, reply-to routes result entries back to the
-#: port that asked for them, firewall holds per-port rule text, exclusive
-#: marks entries whose events are consumed by a single port.
-RESERVED_META = ("origin-node", "priority", "input-filter", "output-filter",
-                 "query", "reply-to", "firewall", "exclusive")
 
 
 def valid_name(name: str) -> bool:
@@ -90,23 +80,9 @@ class Document:
     media_type: str = "application/octet-stream"
 
 
+@dataclass(frozen=True)
 class NodeRef:
-    """Payload of a node entry.
-
-    The runtime node object, when one exists in this process, hangs off
-    ``node``; on the wire a node entry is just a marker.
-    """
-
-    __slots__ = ("node",)
-
-    def __init__(self, node=None):
-        self.node = node
-
-    def __eq__(self, other):
-        return isinstance(other, NodeRef)
-
-    def __repr__(self):
-        return f"NodeRef({'bound' if self.node is not None else 'empty'})"
+    """Payload of a node entry: a marker, here and on the wire."""
 
 
 @dataclass
@@ -151,30 +127,21 @@ def port_entry(name: str, spec: PortSpec, meta: dict[str, str] | None = None) ->
     return Entry(name, dict(meta or {}), PORT, spec)
 
 
-_PAYLOAD_FOR_KIND = {DOCUMENT: Document, NODE: NodeRef, PORT: PortSpec}
-
-
 def validate_entry(entry: Entry) -> list[str]:
-    """Collect violations; an empty list means the entry is well formed.
+    """Collect violations of the reserved metadata keys; an empty list
+    means ``entry`` may be posted.  The rest of its shape was checked where
+    it was parsed, by ``wire.entry_from_json``.
 
-    Checks the name grammar, the kind and payload pairing, and that reserved
-    metadata keys hold values of the advertised shape.
+    Reserved keys have kit-defined meaning; other metadata values are
+    free-form strings.  Checked here: origin-node tags replicas with the
+    URL of the node a copy came from, priority orders candidates for
+    exclusive consumption, reply-to routes result entries back to the port
+    that asked for them, and input-filter and output-filter hold filter
+    text.  Not checked: query carries filter text on query ports, firewall
+    holds per-port rule text, exclusive marks entries whose events are
+    consumed by a single port.
     """
     problems: list[str] = []
-    if not valid_name(entry.name):
-        problems.append(f"invalid entry name {entry.name!r}")
-    if entry.kind not in ENTRY_KINDS:
-        problems.append(f"unknown entry kind {entry.kind!r}")
-    else:
-        want = _PAYLOAD_FOR_KIND[entry.kind]
-        if not isinstance(entry.payload, want):
-            problems.append(f"{entry.kind} entry with {type(entry.payload).__name__} payload")
-    if not isinstance(entry.meta, dict):
-        problems.append("metadata is not a string map")
-        return problems
-    for key, value in entry.meta.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            problems.append(f"non-string metadata item {key!r}")
     origin = entry.meta.get("origin-node")
     if origin is not None:
         try:
@@ -194,10 +161,4 @@ def validate_entry(entry: Entry) -> list[str]:
                 parse_filter(text)
             except Exception:
                 problems.append(f"{key} does not parse: {text!r}")
-    if entry.kind == PORT and isinstance(entry.payload, PortSpec):
-        spec = entry.payload
-        if not spec.behavior:
-            problems.append("port entry without behavior identifier")
-        if spec.cursor < 1:
-            problems.append(f"cursor must be positive, got {spec.cursor}")
     return problems

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .filters import And, FilterExpr, TRUE, FilterIndex, ValueMap, entry_field, eval_filter
@@ -563,21 +564,14 @@ class Node:
 
     # -- reads for channels ------------------------------------------------------
 
-    def read_for_pull(self, after: int, filt: FilterExpr, max_events: int) -> tuple[list[Event], int, bool]:
+    def read_for_pull(self, after: int, filt: FilterExpr) -> Iterator[Event]:
         """Serve a pull: live events with seq > after matching the filter,
-        oldest first, skipping consumed exclusives. Returns the batch, the
-        last seq scanned, and whether the end of the history was reached."""
-        out: list[Event] = []
+        oldest first, skipping consumed exclusives, each read from the
+        history only when the caller takes it."""
         pos = after + 1
-        last = after
-        while max_events <= 0 or len(out) < max_events:
-            ev, nxt = self.history.read_after(pos, filt)
+        while True:
+            ev, pos = self.history.read_after(pos, filt)
             if ev is None:
-                return out, max(last, nxt - 1), True
-            pos = nxt
-            last = ev.seq
-            if self.history.is_consumed(ev.seq):
-                continue
-            out.append(ev)
-        ev, _ = self.history.read_after(pos, filt)
-        return out, last, ev is None
+                return
+            if not self.history.is_consumed(ev.seq):
+                yield ev

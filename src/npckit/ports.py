@@ -138,7 +138,6 @@ def behavior(name: str):
         if name in BEHAVIORS:
             raise ValueError(f"behavior already registered: {name}")
         BEHAVIORS[name] = cls
-        cls.behavior_name = name
         return cls
     return register
 

@@ -10,7 +10,6 @@ through one selector; other threads only ever call ``run_soon`` or ``stop``.
 
 from __future__ import annotations
 
-import base64
 import collections
 import selectors
 import threading
@@ -18,17 +17,15 @@ import time
 import traceback
 from functools import partial
 
-from .filters import FilterError, parse_filter
+from .filters import parse_filter  # noqa: F401  (wrapped by name in bench/spans.py)
 from .firewall import IN, OUT, FirewallError, check, parse_rules
 from .gateways import MailStub, RepoStub, TcpConn, TcpListener, Waker, dial_tcp
 from .history import NODE_ORIGIN, SUSPEND, insert_event
 from .httpd import HttpConn
-from .model import (DOCUMENT, Entry, EntryUrl, NODE, PORT, PortSpec, UrlError,
-                    document_entry, node_entry, parse_url, port_entry,
-                    valid_name)
+from .model import DOCUMENT, Entry, EntryUrl, NODE, PORT, UrlError, parse_url, valid_name
 from .node import Node, ReadyRing
 from .ports import BEHAVIORS, PortContext
-from .wire import BYE, ERROR, HELLO
+from .wire import BYE, ERROR, HELLO, WireError, entry_from_json, get_int
 from . import behaviors as _stock_behaviors  # noqa: F401  (fills BEHAVIORS)
 
 
@@ -62,19 +59,14 @@ class ServerConfig:
         _require(isinstance(d, dict), path, "must be an object")
         host = d.get("host")
         _require(isinstance(host, str) and host, f"{path}.host", "required string")
-        port = d.get("npc_tcp_port", 7070)
-        _require(isinstance(port, int) and not isinstance(port, bool)
-                 and 0 <= port <= 65535, f"{path}.npc_tcp_port", "port number")
-        http_port = d.get("http_port")
-        if http_port is not None:
-            _require(isinstance(http_port, int) and 0 <= http_port <= 65535,
-                     f"{path}.http_port", "port number")
+        try:
+            port = get_int(d, "npc_tcp_port", 7070, 0, 65535)
+            http_port = get_int(d, "http_port", None, 0, 65535)
+            max_history = get_int(d, "max_history", None, 1)
+        except WireError as e:
+            raise _config_error(path, e) from None
         firewall_text = d.get("firewall", "")
         _require(isinstance(firewall_text, str), f"{path}.firewall", "rule text")
-        max_history = d.get("max_history")
-        if max_history is not None:
-            _require(isinstance(max_history, int) and max_history >= 1,
-                     f"{path}.max_history", "positive integer")
         root = d.get("root", {})
         _require(isinstance(root, dict), f"{path}.root", "must be an object")
         root_name = root.get("name", "root")
@@ -89,58 +81,32 @@ class ServerConfig:
                    root_name, entries, stubs)
 
 
+def _config_error(path: str, e: WireError) -> ConfigError:
+    return ConfigError(f"{path}.{e.field}" if e.field else path, str(e))
+
+
 def parse_entry_def(d: dict, path: str):
-    """Turn one config entry definition into (Entry, child definitions)."""
-    _require(isinstance(d, dict), path, "must be an object")
-    name = d.get("name")
-    _require(isinstance(name, str) and valid_name(name), f"{path}.name", "entry name")
-    kind = d.get("kind", DOCUMENT)
-    meta = d.get("meta", {})
-    _require(isinstance(meta, dict) and all(isinstance(k, str) and isinstance(v, str)
-                                            for k, v in meta.items()),
-             f"{path}.meta", "string map")
-    if kind == DOCUMENT:
-        if "content_b64" in d:
-            try:
-                content = base64.b64decode(d["content_b64"], validate=True)
-            except Exception:
-                raise ConfigError(f"{path}.content_b64", "not base64")
-        else:
-            text = d.get("content_text", "")
-            _require(isinstance(text, str), f"{path}.content_text", "string")
-            content = text.encode("utf-8")
-        media = d.get("media_type", "text/plain")
-        _require(isinstance(media, str), f"{path}.media_type", "string")
-        return document_entry(name, content, media, meta=meta), None
-    if kind == PORT:
-        b = d.get("behavior")
-        _require(isinstance(b, str) and b, f"{path}.behavior", "required string")
+    """Turn one config entry definition into (Entry, child definitions).
+
+    A definition is an entry as the wire carries it, parsed and checked by
+    ``wire.entry_from_json``, with three conveniences: ``kind`` defaults to
+    ``document``; a document may give UTF-8 ``content_text`` in place of
+    ``content_b64``, and its media type defaults to ``text/plain``; and a
+    node lists its children's definitions under ``entries``."""
+    try:
+        entry = entry_from_json(d, kind=DOCUMENT, media_type="text/plain",
+                                text_field="content_text")
+    except WireError as e:
+        raise _config_error(path, e) from None
+    if entry.kind == PORT:
+        b = entry.payload.behavior
         _require(b in BEHAVIORS, f"{path}.behavior", f"unknown behavior {b!r}")
-        config = d.get("config", {})
-        _require(isinstance(config, dict) and all(isinstance(k, str) and isinstance(v, str)
-                                                  for k, v in config.items()),
-                 f"{path}.config", "string map")
-        try:
-            inp = parse_filter(d.get("input_filter", "true"))
-            outp = parse_filter(d.get("output_filter", "true"))
-        except FilterError as e:
-            raise ConfigError(path, f"filter does not parse: {e}")
-        cursor = d.get("cursor", 1)
-        _require(isinstance(cursor, int) and cursor >= 1, f"{path}.cursor", "positive integer")
-        priority = d.get("priority", 0)
-        _require(isinstance(priority, int) and not isinstance(priority, bool),
-                 f"{path}.priority", "integer")
-        spec = PortSpec(b, dict(config), inp, outp,
-                        receive_flag=bool(d.get("receive_flag", False)),
-                        cursor=cursor, priority=priority)
-        return port_entry(name, spec, meta=meta), None
-    if kind == NODE:
+    elif entry.kind == NODE:
         children = d.get("entries", [])
         _require(isinstance(children, list), f"{path}.entries", "must be a list")
-        parsed = [parse_entry_def(e, f"{path}.entries[{i}]")
-                  for i, e in enumerate(children)]
-        return node_entry(name, meta=meta), parsed
-    raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
+        return entry, [parse_entry_def(e, f"{path}.entries[{i}]")
+                       for i, e in enumerate(children)]
+    return entry, None
 
 
 class Server:
@@ -226,9 +192,7 @@ class Server:
     def _bind_subnode(self, parent: Node, entry: Entry) -> None:
         path = parent.path + (entry.name,)
         if path not in self.nodes:
-            child = self._make_node(path)
-            if hasattr(entry.payload, "node"):
-                entry.payload.node = child
+            self._make_node(path)
 
     # -- behaviors -------------------------------------------------------------------
 
@@ -313,10 +277,16 @@ class Server:
         self._trace("accept", conn.label)
         return True
 
-    def _accept_npc(self, sock, addr) -> None:
-        if not self.allow_inbound(addr[0], self.advertised_port, "npc-tcp"):
+    def _accept(self, protocol: str, make_conn, sock, addr) -> None:
+        """Admit a socket a listener accepted, npc-tcp and HTTP alike: the
+        inbound rules see its peer, the local port it came in on and the
+        listener's ``protocol``."""
+        if not self.allow_inbound(addr[0], sock.getsockname()[1], protocol):
             sock.close()
             return
+        make_conn(sock, addr)
+
+    def _npc_conn(self, sock, addr) -> None:
         self.accept_conn(TcpConn(f"tcp:{addr[0]}:{addr[1]}", sock, self.enqueue, self._selector))
 
     def allow_inbound(self, host: str, port: int, protocol: str) -> bool:
@@ -531,12 +501,12 @@ class Server:
         """Bind sockets and run the driver loop on a background thread."""
         self._selector = selectors.DefaultSelector()
         self.listener = TcpListener("0.0.0.0", self.config.npc_tcp_port, self._selector,
-                                    self._accept_npc)
+                                    partial(self._accept, "npc-tcp", self._npc_conn))
         self.advertised_port = self.listener.port  # the one bound, when asked for 0
         self._waker = Waker(self._selector)
         if self.config.http_port is not None:
             self.httpd = TcpListener("0.0.0.0", self.config.http_port, self._selector,
-                                     partial(HttpConn, self))
+                                     partial(self._accept, "http", partial(HttpConn, self)))
         self._driver = threading.Thread(target=self._drive, daemon=True)
         self._driver.start()
 

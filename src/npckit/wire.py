@@ -13,7 +13,7 @@ import base64
 import json
 import struct
 
-from .filters import parse_filter, print_filter
+from .filters import FilterExpr, parse_filter, print_filter
 from .history import Event, KINDS
 from .model import (DOCUMENT, Document, Entry, NODE, NodeRef, PORT, PortSpec,
                     valid_name)
@@ -31,9 +31,10 @@ CMD = "cmd"
 
 
 class WireError(Exception):
-    def __init__(self, code: str, message: str = ""):
+    def __init__(self, code: str, message: str = "", field: str | None = None):
         super().__init__(f"{code}: {message}" if message else code)
         self.code = code
+        self.field = field  # the key whose value is at fault, when one is
 
 
 def _json(obj) -> bytes:
@@ -101,9 +102,6 @@ class FrameBuffer:
         del self._buf[: 4 + length]
         return decode_body(data)
 
-    def pending(self) -> int:
-        return len(self._buf)
-
 
 def read_frame(recv) -> dict | None:
     """Read one frame from a blocking byte source.
@@ -138,6 +136,38 @@ def bye_frame() -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# value rules, each written once; a value that breaks one is malformed
+
+def get_int(d: dict, key: str, default: int | None, low: int | None = None,
+            high: int | None = None) -> int | None:
+    """``d[key]``, or ``default`` when absent: an integer (a JSON boolean
+    is not one) from ``low`` to ``high``, or null where the default is."""
+    v = d.get(key, default)
+    if v is None and default is None:
+        return None
+    if type(v) is not int or (low is not None and v < low) or (high is not None and v > high):
+        raise WireError("malformed", f"bad {key} {v!r}", key)
+    return v
+
+
+def get_string_map(d: dict, key: str) -> dict:
+    """``d[key]``, or an empty map when absent: an object of strings."""
+    v = d.get(key, {})
+    if not isinstance(v, dict) or not all(
+            isinstance(k, str) and isinstance(x, str) for k, x in v.items()):
+        raise WireError("malformed", f"{key} is not a string map", key)
+    return v
+
+
+def _get_filter(d: dict, key: str) -> FilterExpr:
+    """``d[key]``, or ``true`` when absent: filter text, parsed."""
+    try:
+        return parse_filter(d.get(key, "true"))
+    except Exception as e:  # FilterError, RecursionError on deep nesting, TypeError...
+        raise WireError("malformed", f"{key} does not parse: {e}", key)
+
+
+# ---------------------------------------------------------------------------
 # object codecs
 
 def entry_to_json(entry: Entry) -> dict:
@@ -157,52 +187,51 @@ def entry_to_json(entry: Entry) -> dict:
     return out
 
 
-def entry_from_json(d: dict) -> Entry:
+def entry_from_json(d: dict, kind: str | None = None,
+                    media_type: str = "application/octet-stream",
+                    text_field: str | None = None) -> Entry:
+    """The entry ``d`` describes: the one parser of entries, on channels
+    and in config files.  The keywords serve ``server.parse_entry_def``:
+    the ``kind`` and ``media_type`` where ``d`` has none, and a field that
+    may hold a document's content as UTF-8 text."""
     if not isinstance(d, dict):
         raise WireError("malformed", "entry is not an object")
     name = d.get("name")
-    kind = d.get("kind")
-    meta = d.get("meta", {})
-    if not valid_name(name if isinstance(name, str) else ""):
-        raise WireError("malformed", f"bad entry name {name!r}")
-    if not isinstance(meta, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
-        raise WireError("malformed", "entry meta is not a string map")
+    if not valid_name(name):
+        raise WireError("malformed", f"bad entry name {name!r}", "name")
+    meta = dict(get_string_map(d, "meta"))
+    kind = d.get("kind", kind)
     if kind == DOCUMENT:
-        try:
-            content = base64.b64decode(d.get("content_b64", ""), validate=True)
-        except Exception:
-            raise WireError("malformed", "content_b64 is not base64")
-        media = d.get("media_type", "application/octet-stream")
+        if text_field in d and "content_b64" not in d:
+            text = d[text_field]
+            if not isinstance(text, str):
+                raise WireError("malformed", f"{text_field} is not a string", text_field)
+            content = text.encode("utf-8")
+        else:
+            try:
+                content = base64.b64decode(d.get("content_b64", ""), validate=True)
+            except (TypeError, ValueError):
+                raise WireError("malformed", "content_b64 is not base64", "content_b64")
+        media = d.get("media_type", media_type)
         if not isinstance(media, str):
-            raise WireError("malformed", "media_type is not a string")
-        return Entry(name, dict(meta), DOCUMENT, Document(content, media))
+            raise WireError("malformed", "media_type is not a string", "media_type")
+        return Entry(name, meta, DOCUMENT, Document(content, media))
     if kind == NODE:
-        return Entry(name, dict(meta), NODE, NodeRef())
+        return Entry(name, meta, NODE, NodeRef())
     if kind == PORT:
         behavior = d.get("behavior")
         if not isinstance(behavior, str) or not behavior:
-            raise WireError("malformed", "port entry without behavior")
-        config = d.get("config", {})
-        if not isinstance(config, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in config.items()):
-            raise WireError("malformed", "port config is not a string map")
-        try:
-            inp = parse_filter(d.get("input_filter", "true"))
-            outp = parse_filter(d.get("output_filter", "true"))
-        except Exception as e:
-            raise WireError("malformed", f"port filter does not parse: {e}")
-        cursor = d.get("cursor", 1)
-        priority = d.get("priority", 0)
-        if not isinstance(cursor, int) or isinstance(cursor, bool) or cursor < 1:
-            raise WireError("malformed", f"bad cursor {cursor!r}")
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise WireError("malformed", f"bad priority {priority!r}")
-        spec = PortSpec(behavior, dict(config), inp, outp,
-                        receive_flag=bool(d.get("receive_flag", False)),
-                        cursor=cursor, priority=priority)
-        return Entry(name, dict(meta), PORT, spec)
-    raise WireError("malformed", f"unknown entry kind {kind!r}")
+            raise WireError("malformed", "port entry without behavior", "behavior")
+        flag = d.get("receive_flag", False)
+        if type(flag) is not bool:  # "false" would read as true
+            raise WireError("malformed", f"bad receive_flag {flag!r}", "receive_flag")
+        spec = PortSpec(behavior, dict(get_string_map(d, "config")),
+                        _get_filter(d, "input_filter"), _get_filter(d, "output_filter"),
+                        receive_flag=flag,
+                        cursor=get_int(d, "cursor", 1, low=1),
+                        priority=get_int(d, "priority", 0))
+        return Entry(name, meta, PORT, spec)
+    raise WireError("malformed", f"unknown entry kind {kind!r}", "kind")
 
 
 def event_to_json(ev: Event) -> dict:
@@ -228,16 +257,9 @@ def event_from_json(d: dict) -> Event:
     entry = None
     if "entry" in d:
         entry = entry_from_json(d["entry"])
-    filt = None
-    if "filter" in d:
-        try:
-            filt = parse_filter(d["filter"])
-        except Exception as e:
-            raise WireError("malformed", f"event filter does not parse: {e}")
-    seq = d.get("seq", 0)
-    created = d.get("created_at", 0)
-    if not isinstance(seq, int) or not isinstance(created, int):
-        raise WireError("malformed", "seq and created_at must be integers")
+    filt = _get_filter(d, "filter") if "filter" in d else None
+    seq = get_int(d, "seq", 0)
+    created = get_int(d, "created_at", 0)
     origin = d.get("origin_port", "@node")
     if not isinstance(origin, str):
         raise WireError("malformed", "origin_port is not a string")

@@ -96,6 +96,15 @@ def test_npcd_preset_emits_valid_configs(capsys):
         ServerConfig.from_dict(c)
 
 
+def test_npcd_serve_refuses_a_bad_config_with_its_path(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"host": "box", "root": {"entries": [
+        {"name": "p", "kind": "port", "behavior": "manual", "input_filter": 7}]}}))
+    rc = npcd_main(["serve", "--config", str(f)])
+    assert rc == 2
+    assert "config.root.entries[0].input_filter" in capsys.readouterr().err
+
+
 def test_npcd_preset_unknown(capsys):
     rc = npcd_main(["preset", "warp-drive"])
     assert rc == 2

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import flush, on_driver, wait_for
-from npckit.cli import NpcClient
+from npckit.cli import NpcClient, TransportError
 from npckit.filters import parse_filter
 from npckit.gateways import TcpConn
 from npckit.history import NODE_ORIGIN, insert_event
@@ -85,6 +85,31 @@ def test_a_started_server_runs_the_driver_and_no_more():
     finally:
         for c in clients:
             c.close()
+        s.stop()
+
+
+@pytest.mark.parametrize("denied", ["http", "npc-tcp"])
+def test_inbound_rules_refuse_http_and_npc_tcp_accepts_alike(denied):
+    config = dict(CONFIG, http_port=0, firewall=f"deny in *:* {denied}")
+    s = Server(ServerConfig.from_dict(config), real=True)
+    s.start()
+    try:
+        web = http.client.HTTPConnection("127.0.0.1", s.httpd.port, timeout=5)
+        try:
+            web.request("GET", "/root/admin")
+            status = web.getresponse().status
+        except (http.client.HTTPException, OSError):  # closed unanswered
+            status = None
+        finally:
+            web.close()
+        try:
+            client = NpcClient(admin_url(s), timeout=5)
+            listed = client.roundtrip({"kind": "cmd", "op": "list"})["kind"]
+            client.close()
+        except TransportError:
+            listed = None
+        assert (status, listed) == ((None, "ack") if denied == "http" else (404, None))
+    finally:
         s.stop()
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from npckit.filters import TRUE
-from npckit.model import (Document, Entry, EntryUrl, NodeRef, PortSpec, UrlError,
+from npckit.model import (Document, EntryUrl, NodeRef, PortSpec, UrlError,
                           document_entry, node_entry, parse_url, port_entry,
                           valid_name, validate_entry)
 
@@ -62,14 +61,6 @@ def test_entry_helpers_pair_kind_and_payload():
     assert validate_entry(p) == []
 
 
-def test_validate_entry_name_and_kind():
-    assert validate_entry(Entry("bad name", {}, "document", Document(b"")))
-    assert validate_entry(Entry("ok", {}, "widget", Document(b"")))
-    # payload must match the kind
-    assert validate_entry(Entry("ok", {}, "document", PortSpec("manual")))
-    assert validate_entry(Entry("ok", {}, "port", Document(b"")))
-
-
 def test_validate_entry_reserved_meta_shapes():
     good = document_entry("d", b"", meta={
         "origin-node": "npc://other.example:7070/root",
@@ -82,15 +73,3 @@ def test_validate_entry_reserved_meta_shapes():
     assert validate_entry(document_entry("d", b"", meta={"priority": "high"}))
     assert validate_entry(document_entry("d", b"", meta={"reply-to": "a/b"}))
     assert validate_entry(document_entry("d", b"", meta={"output-filter": "not ("}))
-
-
-def test_validate_entry_meta_must_be_string_map():
-    bad = Entry("d", {"rank": 3}, "document", Document(b""))
-    assert validate_entry(bad)
-
-
-def test_validate_port_entry_specifics():
-    assert validate_entry(port_entry("p", PortSpec(""))) != []
-    assert validate_entry(port_entry("p", PortSpec("manual", cursor=0))) != []
-    ok = port_entry("p", PortSpec("forwarder", cursor=5, input_filter=TRUE))
-    assert validate_entry(ok) == []

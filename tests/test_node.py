@@ -850,17 +850,23 @@ def test_post_and_drain_work_does_not_grow_with_the_subscriptions(monkeypatch):
 # ---------------------------------------------------------------------------
 # pull reads
 
-def test_read_for_pull_pages_through_matching_events():
+def test_read_for_pull_pages_through_matching_events(monkeypatch):
     n = Node()
     add_port(n, "in")
     for i in range(5):
         n.post_event("in", insert_event(doc(f"d{i}")))
-    batch, last, at_end = n.read_for_pull(0, DOCS, max_events=3)
+    reads = []
+    read_after = n.history.read_after
+    monkeypatch.setattr(n.history, "read_after",
+                        lambda pos, filt: reads.append(pos) or read_after(pos, filt))
+    pull = n.read_for_pull(0, DOCS)
+    assert reads == []  # nothing is read before the caller takes it
+    batch = [next(pull) for _ in range(3)]
     assert [e.entry.name for e in batch] == ["d0", "d1", "d2"]
-    assert not at_end
-    batch, last, at_end = n.read_for_pull(last, DOCS, max_events=3)
-    assert [e.entry.name for e in batch] == ["d3", "d4"]
-    assert at_end
+    assert len(reads) == 3
+    rest = list(n.read_for_pull(batch[-1].seq, DOCS))
+    assert [e.entry.name for e in rest] == ["d3", "d4"]
+    assert len(reads) == 3 + 3  # two events, then the end of the history
 
 
 def test_read_for_pull_skips_consumed_exclusives():
@@ -869,6 +875,5 @@ def test_read_for_pull_skips_consumed_exclusives():
     kept = n.post_event("in", insert_event(doc("keep")))
     job = n.post_event("in", insert_event(doc("job", meta={"exclusive": "true"})))
     n.history.mark_consumed(job.seq)
-    batch, last, at_end = n.read_for_pull(0, TRUE, max_events=0)
-    seqs = [e.seq for e in batch]
+    seqs = [e.seq for e in n.read_for_pull(0, TRUE)]
     assert kept.seq in seqs and job.seq not in seqs

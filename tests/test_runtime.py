@@ -11,7 +11,7 @@ import pytest
 
 from npckit.apps import build_preset
 from npckit.cli import NpcClient
-from npckit.history import NODE_ORIGIN, REMOVE, insert_event
+from npckit.history import NODE_ORIGIN, REMOVE, EventHistory, insert_event
 from npckit.model import PORT, PortSpec, document_entry, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import Server, ServerConfig
@@ -346,6 +346,31 @@ def test_an_unbounded_pull_of_a_long_history_comes_in_frames(monkeypatch, msg):
     assert acks > 1
     assert [name for name in got if name.startswith("d")] == names
     assert not [line for line in run.tracer.lines() if "\tdrop\t" in line]
+
+
+def test_catching_up_over_a_long_history_reads_each_event_about_once(monkeypatch):
+    """Each ack reads the events it holds and one more, the one that did
+    not fit or the end of the history; never the rest of the history."""
+    run = admin_run()
+    server = run.server("a")
+    for i in range(200):
+        server.root.post_event("admin", insert_event(document_entry(f"d{i:03}", b"x" * 500)))
+    monkeypatch.setattr(wire, "MAX_BODY", 4096)
+    reads = []
+    read_after = EventHistory.read_after
+    monkeypatch.setattr(EventHistory, "read_after",
+                        lambda h, pos, filt: reads.append(pos) or read_after(h, pos, filt))
+    after, acks, got = 0, 0, 0
+    while True:
+        run.send("c", {"kind": "pull", "max": 0, "after": after})
+        reply, = run.take_replies("c")
+        acks += 1
+        got += len(reply["events"])
+        if reply["at_end"]:
+            break
+        after = reply["last"]
+    assert got == len(server.root.history) and acks == 50
+    assert len(reads) == got + acks
 
 
 def test_behavior_hooks_are_entered_only_through_the_server_choke_point():

@@ -135,6 +135,25 @@ def test_config_rejects_nonpositive_cursor():
     assert "cursor" in str(e.value)
 
 
+@pytest.mark.parametrize("config, where", [
+    ({"http_port": True}, "config.http_port"),
+    ({"max_history": True}, "config.max_history"),
+    ({"root": {"entries": [{"name": "p", "kind": "port", "behavior": "manual",
+                            "cursor": True}]}}, "config.root.entries[0].cursor"),
+    ({"root": {"entries": [{"name": "p", "kind": "port", "behavior": "manual",
+                            "receive_flag": "false"}]}}, "config.root.entries[0].receive_flag"),
+    ({"root": {"entries": [{"name": "p", "kind": "port", "behavior": "manual",
+                            "input_filter": 7}]}}, "config.root.entries[0].input_filter"),
+    ({"root": {"entries": [{"name": "n", "kind": "node", "entries": [
+        {"name": "d", "content_text": 7}]}]}}, "config.root.entries[0].entries[0].content_text"),
+], ids=["http-port-bool", "max-history-bool", "cursor-bool", "receive-flag-text",
+        "filter-not-text", "content-text-not-text"])
+def test_config_values_follow_the_wire_rules(config, where):
+    with pytest.raises(ConfigError) as e:
+        ServerConfig.from_dict({"host": "a", **config})
+    assert e.value.path == where
+
+
 def test_config_still_loads_with_the_retired_indexed_key():
     # delivery has one path now; older configs may still carry the key
     for value in (True, False):

@@ -157,8 +157,14 @@ def test_entry_from_json_rejects_garbage():
         {"name": "a", "kind": "document", "content_b64": "@@"},
         {"name": "a", "kind": "document", "meta": {"x": 1}},
         {"name": "a", "kind": "port"},
+        {"name": "a", "kind": "port", "behavior": ""},
         {"name": "a", "kind": "port", "behavior": "manual", "cursor": 0},
+        {"name": "a", "kind": "port", "behavior": "manual", "cursor": True},
+        {"name": "a", "kind": "port", "behavior": "manual", "priority": False},
+        {"name": "a", "kind": "port", "behavior": "manual", "receive_flag": "false"},
+        {"name": "a", "kind": "port", "behavior": "manual", "receive_flag": 1},
         {"name": "a", "kind": "port", "behavior": "manual", "input_filter": "(("},
+        {"name": "a", "kind": "port", "behavior": "manual", "output_filter": 7},
         "not a dict",
     ]:
         with pytest.raises(WireError) as exc:
@@ -184,6 +190,8 @@ def test_event_from_json_rejects_garbage():
         {"kind": "Explode"},
         {"kind": "Insert", "entry": {"name": "a", "kind": "widget"}},
         {"kind": "Insert", "seq": "three"},
+        {"kind": "Insert", "seq": True},
+        {"kind": "Insert", "created_at": False},
         {"kind": "Receive", "filter": "not ("},
         {"kind": "Resume", "subscription": 4},
         [],
