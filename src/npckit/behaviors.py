@@ -26,9 +26,8 @@ from .history import (Event, INSERT, NODE_ORIGIN, REMOVE, SUSPEND, TIME,
 from .model import (DOCUMENT, PORT, PortSpec, document_entry, port_entry, valid_name,
                     validate_entry)
 from .ports import BEHAVIORS, Behavior, behavior
-from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError,
-                   entry_from_json, entry_to_json, event_from_json, event_to_json,
-                   get_int, json_size, room_in)
+from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError, content_b64,
+                   entry_from_json, event_bytes, event_from_json, get_int, room_in)
 
 
 def _type_is(kind: str) -> Cmp:
@@ -134,15 +133,15 @@ def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
     for ev in ctx.node.read_for_pull(after, effective):
         if taken == limit:
             break
-        raw = event_to_json(tagged_with_origin(ev, url) if tag else ev)
-        size = json_size(raw) + 1
+        out = tagged_with_origin(ev, url) if tag else ev
+        size = len(event_bytes(out)) + 1
         if size > room:
             ctx.trace("drop", f"{ev.kind} {ev.entry.name if ev.entry else ''} "
                               f"too big to pull")
         elif size > left:
             break
         else:
-            packed.append(raw)
+            packed.append(out)
             left -= size
         taken += 1
         last = ev.seq
@@ -197,7 +196,7 @@ class AdminBehavior(Behavior):
         handler(conn, msg)
 
     def _op_list(self, conn, msg: dict) -> None:
-        entries = [entry_to_json(e) for _, e in sorted(self.ctx.node.entries.items())]
+        entries = [e for _, e in sorted(self.ctx.node.entries.items())]
         conn.send({"kind": ACK, "entries": entries})
 
     def _op_get(self, conn, msg: dict) -> None:
@@ -205,7 +204,7 @@ class AdminBehavior(Behavior):
         if entry is None:
             _err(conn, "not-found", f"no entry {msg.get('name')!r}")
             return
-        conn.send({"kind": ACK, "entry": entry_to_json(entry)})
+        conn.send({"kind": ACK, "entry": entry})
 
     def _op_insert(self, conn, msg: dict) -> None:
         try:
@@ -334,7 +333,7 @@ class ForwarderBehavior(Behavior):
             self.ctx.trace("drop", f"no channel to {self.target}")
             return False
         out = tagged_with_origin(ev, self.ctx.node_url().text())
-        if not self.ctx.send(conn, {"kind": EVENT, "event": event_to_json(out)}):
+        if not self.ctx.send(conn, {"kind": EVENT, "event": out}):
             # too big to frame, or the channel broke: the target misses it
             self.ctx.trace("drop", f"{ev.kind} {ev.entry.name if ev.entry else ''} "
                                    f"not sent to {self.target}")
@@ -456,7 +455,7 @@ class RequestBehavior(Behavior):
         if self.conn is not None:
             if entry.kind == DOCUMENT:
                 self.conn.send({"kind": ACK, "name": entry.name,
-                                "content_b64": entry_to_json(entry)["content_b64"],
+                                "content_b64": content_b64(entry.payload),
                                 "media_type": entry.payload.media_type,
                                 "meta": dict(entry.meta)})
             else:
@@ -549,7 +548,7 @@ class QueryBehavior(Behavior):
             if eval_filter(f, ev):
                 self.count += 1
                 if self.conn is not None:
-                    self.conn.send({"kind": EVENT, "event": event_to_json(ev)})
+                    self.conn.send({"kind": EVENT, "event": ev})
         self._finish()
 
     def _finish(self) -> None:
@@ -581,7 +580,7 @@ class QueryBehavior(Behavior):
                 self.sent.add(ident)
                 self.count += 1
                 if self.conn is not None:
-                    self.conn.send({"kind": EVENT, "event": event_to_json(ev)})
+                    self.conn.send({"kind": EVENT, "event": ev})
             # result delivered: drop the document so nothing piles up
             current = self.ctx.node.entries.get(ev.entry.name)
             if current is not None:

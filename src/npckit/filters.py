@@ -37,8 +37,8 @@ class FilterError(Exception):
     """Raised for unparseable filter text.
 
     ``code`` is one of ``syntax-error``, ``unknown-field``,
-    ``unknown-operator``; ``offset`` is the byte offset of the offending
-    token in the source text.
+    ``unknown-operator``, ``too-deep``; ``offset`` is the byte offset of
+    the offending token in the source text.
     """
 
     def __init__(self, code: str, offset: int, message: str):
@@ -174,10 +174,19 @@ def _tokenize(src: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # parser
 
+MAX_DEPTH = 200  # deepest tree and parenthesis nesting parsed; far inside the recursion limit
+
+
 class _Parser:
+    """Recursive descent parser.  Each parse method returns the tree it
+    read and that tree's height in operators, and refuses one higher than
+    ``MAX_DEPTH``, as it refuses parentheses nested deeper: evaluating,
+    printing and parsing recurse once or more per level."""
+
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.i = 0
+        self.parens = 0  # parentheses open where the parser is
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -187,40 +196,54 @@ class _Parser:
         self.i += 1
         return t
 
+    def _bounded(self, height: int) -> int:
+        if height > MAX_DEPTH:
+            raise FilterError("too-deep", self.peek().pos,
+                              f"filter nests deeper than {MAX_DEPTH} levels")
+        return height
+
     def parse(self) -> FilterExpr:
-        e = self.parse_or()
+        e, _ = self.parse_or()
         t = self.peek()
         if t.kind != _T_EOF:
             raise FilterError("syntax-error", t.pos, f"unexpected {t.text!r}")
         return e
 
-    def parse_or(self) -> FilterExpr:
-        e = self.parse_and()
+    def parse_or(self) -> tuple[FilterExpr, int]:
+        e, h = self.parse_and()
         while self.peek().kind == _T_WORD and self.peek().text == "or":
             self.take()
-            e = Or(e, self.parse_and())
-        return e
+            right, rh = self.parse_and()
+            e, h = Or(e, right), self._bounded(max(h, rh) + 1)
+        return e, h
 
-    def parse_and(self) -> FilterExpr:
-        e = self.parse_unary()
+    def parse_and(self) -> tuple[FilterExpr, int]:
+        e, h = self.parse_unary()
         while self.peek().kind == _T_WORD and self.peek().text == "and":
             self.take()
-            e = And(e, self.parse_unary())
-        return e
+            right, rh = self.parse_unary()
+            e, h = And(e, right), self._bounded(max(h, rh) + 1)
+        return e, h
 
-    def parse_unary(self) -> FilterExpr:
-        t = self.peek()
-        if t.kind == _T_WORD and t.text == "not":
+    def parse_unary(self) -> tuple[FilterExpr, int]:
+        nots = 0
+        while self.peek().kind == _T_WORD and self.peek().text == "not":
             self.take()
-            return Not(self.parse_unary())
+            nots = self._bounded(nots + 1)
+        t = self.peek()
         if t.kind == _T_LPAREN:
             self.take()
-            e = self.parse_or()
+            self.parens = self._bounded(self.parens + 1)
+            e, h = self.parse_or()
             closing = self.take()
             if closing.kind != _T_RPAREN:
                 raise FilterError("syntax-error", closing.pos, "expected )")
-            return e
-        return self.parse_atom()
+            self.parens -= 1
+        else:
+            e, h = self.parse_atom(), 0
+        for _ in range(nots):
+            e = Not(e)
+        return e, self._bounded(h + nots)
 
     def parse_atom(self) -> FilterExpr:
         t = self.take()

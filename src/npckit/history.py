@@ -27,7 +27,7 @@ KINDS = frozenset([INSERT, REMOVE, RECEIVE, SUSPEND, RESUME, CLOSE, TIME])
 NODE_ORIGIN = "@node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """Immutable record of something that happened at a node.
 

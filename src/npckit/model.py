@@ -2,13 +2,16 @@
 
 Nodes hold named entries; an entry is a document, a subnode, or a port.
 Entries travel inside events as immutable snapshots, so everything here is
-value-like and JSON serializable (see :mod:`npckit.wire`).
+value-like and JSON serializable (see :mod:`npckit.wire`).  An entry's
+metadata is read-only, so an entry can keep its own wire encoding.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .filters import FilterExpr, TRUE, parse_filter
 
@@ -74,7 +77,7 @@ def parse_url(text: str) -> EntryUrl:
     return EntryUrl(host.lower(), port, segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     content: bytes
     media_type: str = "application/octet-stream"
@@ -106,25 +109,36 @@ class PortSpec:
 EntryPayload = Document | NodeRef | PortSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
+    """A named document, subnode or port.
+
+    ``meta`` is a read-only view of a private copy of the map it was built
+    from.  ``_wire`` is the entry's JSON text, filled in by the first
+    ``wire`` encoding of a document or node entry; a copy made with
+    ``dataclasses.replace`` starts without it."""
+
     name: str
-    meta: dict[str, str]
+    meta: Mapping[str, str]
     kind: str
     payload: EntryPayload
+    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
 
 def document_entry(name: str, content: bytes, media_type: str = "application/octet-stream",
-                   meta: dict[str, str] | None = None) -> Entry:
-    return Entry(name, dict(meta or {}), DOCUMENT, Document(content, media_type))
+                   meta: Mapping[str, str] | None = None) -> Entry:
+    return Entry(name, meta or {}, DOCUMENT, Document(content, media_type))
 
 
-def node_entry(name: str, meta: dict[str, str] | None = None) -> Entry:
-    return Entry(name, dict(meta or {}), NODE, NodeRef())
+def node_entry(name: str, meta: Mapping[str, str] | None = None) -> Entry:
+    return Entry(name, meta or {}, NODE, NodeRef())
 
 
-def port_entry(name: str, spec: PortSpec, meta: dict[str, str] | None = None) -> Entry:
-    return Entry(name, dict(meta or {}), PORT, spec)
+def port_entry(name: str, spec: PortSpec, meta: Mapping[str, str] | None = None) -> Entry:
+    return Entry(name, meta or {}, PORT, spec)
 
 
 def validate_entry(entry: Entry) -> list[str]:

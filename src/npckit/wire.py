@@ -5,6 +5,12 @@ UTF-8 JSON.  Every body is an object carrying ``v`` (protocol version, 1)
 and ``kind``.  The codec does not interpret kinds beyond that; unknown
 kinds are the receiver's problem, which keeps old peers talking to new
 ones.  Bodies over 16 MiB are refused before the body is read.
+
+A message handed to ``encode_frame`` may carry ``Event`` and ``Entry``
+values, alone or in a list.  Their JSON is spliced into the body: an entry
+is encoded once, and its text is kept on the (immutable) entry for every
+later frame.  The body is byte for byte what the ``event_to_json`` and
+``entry_to_json`` dicts would give.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
+from json.encoder import encode_basestring as _str  # json.dumps' own, ensure_ascii off
 
 from .filters import FilterExpr, parse_filter, print_filter
 from .history import Event, KINDS
@@ -37,26 +44,93 @@ class WireError(Exception):
         self.field = field  # the key whose value is at fault, when one is
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, sort_keys=True).encode
+
+
 def _json(obj) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False,
-                      sort_keys=True).encode("utf-8")
-
-
-def json_size(obj) -> int:
-    """Bytes that ``obj`` takes inside a frame body."""
-    return len(_json(obj))
+    return _encode(obj).encode("utf-8")
 
 
 def room_in(msg: dict) -> int:
     """Bytes left under ``MAX_BODY`` in the body of ``msg``'s frame."""
-    return MAX_BODY - json_size({**msg, "v": VERSION})
+    return MAX_BODY - len(_body({**msg, "v": VERSION}))
+
+
+def entry_bytes(entry: Entry) -> bytes:
+    """The JSON of ``entry_to_json(entry)``.  A document's or node's is
+    kept on the entry the first time; a port's is encoded afresh, since
+    its spec may change."""
+    data = entry._wire
+    if data is None:
+        data = _json(entry_to_json(entry))
+        if entry.kind != PORT:
+            object.__setattr__(entry, "_wire", data)
+    return data
+
+
+def event_bytes(ev: Event) -> bytes:
+    """The JSON of ``event_to_json(ev)``, its fields written around the
+    entry's own bytes."""
+    tail = (("" if ev.filter is None else ',"filter":' + _str(print_filter(ev.filter)))
+            + ',"kind":' + _str(ev.kind)
+            + ("" if ev.label is None else ',"label":' + _str(ev.label))
+            + ',"origin_port":' + _str(ev.origin_port)
+            + f',"seq":{ev.seq}'
+            + ("" if ev.subscription is None else ',"subscription":' + _str(ev.subscription))
+            + "}")
+    if ev.entry is None:
+        return f'{{"created_at":{ev.created_at}{tail}'.encode("utf-8")
+    return b"".join((f'{{"created_at":{ev.created_at},"entry":'.encode("utf-8"),
+                     entry_bytes(ev.entry), tail.encode("utf-8")))
+
+
+_OBJECTS = (Event, Entry)
+
+
+def _item(v: Event | Entry) -> bytes:
+    return event_bytes(v) if isinstance(v, Event) else entry_bytes(v)
+
+
+def _plain(v) -> str:
+    """The JSON text of ``v``; strings and integers, the usual fields of a
+    message, without a call into the encoder."""
+    if type(v) is str:
+        return _str(v)
+    if type(v) is int:
+        return str(v)
+    if type(v) is bool:
+        return "true" if v else "false"
+    return _encode(v)
+
+
+def _body(body: dict) -> bytes:
+    """``_json(body)``, with the values that are events and entries, or
+    lists of them, spliced in from their own bytes."""
+    for v in body.values():  # the same test as below, inline: every frame takes it
+        if isinstance(v, _OBJECTS) or (type(v) is list and v and isinstance(v[0], _OBJECTS)):
+            break
+    else:
+        return _json(body)
+    parts, text = [], "{"  # text: what comes after the last spliced value
+    for key in sorted(body):
+        v = body[key]
+        if isinstance(v, _OBJECTS):
+            data = _item(v)
+        elif type(v) is list and v and isinstance(v[0], _OBJECTS):
+            data = b"[" + b",".join(map(_item, v)) + b"]"
+        else:
+            text += f"{_str(key)}:{_plain(v)},"
+            continue
+        parts += (f"{text}{_str(key)}:".encode("utf-8"), data)
+        text = ","
+    parts.append(text[:-1].encode("utf-8") + b"}")
+    return b"".join(parts)
 
 
 def encode_frame(msg: dict) -> bytes:
-    """Serialize a message dict (without ``v``; it is added here)."""
-    body = dict(msg)
-    body["v"] = VERSION
-    data = _json(body)
+    """Serialize a message dict (without ``v``; it is added here).  A value
+    may be an ``Event`` or ``Entry``, or a list of them."""
+    data = _body({**msg, "v": VERSION})
     if len(data) > MAX_BODY:
         raise WireError("oversize", f"{len(data)} byte body")
     return struct.pack(">I", len(data)) + data
@@ -163,18 +237,22 @@ def _get_filter(d: dict, key: str) -> FilterExpr:
     """``d[key]``, or ``true`` when absent: filter text, parsed."""
     try:
         return parse_filter(d.get(key, "true"))
-    except Exception as e:  # FilterError, RecursionError on deep nesting, TypeError...
+    except Exception as e:  # FilterError, TypeError on text that is not a string
         raise WireError("malformed", f"{key} does not parse: {e}", key)
 
 
 # ---------------------------------------------------------------------------
 # object codecs
 
+def content_b64(doc: Document) -> str:
+    return base64.b64encode(doc.content).decode("ascii")
+
+
 def entry_to_json(entry: Entry) -> dict:
     out: dict = {"name": entry.name, "kind": entry.kind, "meta": dict(entry.meta)}
     p = entry.payload
     if entry.kind == DOCUMENT and isinstance(p, Document):
-        out["content_b64"] = base64.b64encode(p.content).decode("ascii")
+        out["content_b64"] = content_b64(p)
         out["media_type"] = p.media_type
     elif entry.kind == PORT and isinstance(p, PortSpec):
         out["behavior"] = p.behavior
@@ -199,7 +277,7 @@ def entry_from_json(d: dict, kind: str | None = None,
     name = d.get("name")
     if not valid_name(name):
         raise WireError("malformed", f"bad entry name {name!r}", "name")
-    meta = dict(get_string_map(d, "meta"))
+    meta = get_string_map(d, "meta")  # Entry keeps a copy
     kind = d.get("kind", kind)
     if kind == DOCUMENT:
         if text_field in d and "content_b64" not in d:

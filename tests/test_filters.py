@@ -7,7 +7,7 @@ from conftest import (LABELS, META_VALUES, NAMES, PORTS, glob_oracle, loose_text
 from npckit.filters import (ACCESS_FIELDS, And, BoolLit, Cmp, FALSE, FilterError,
                             FilterIndex, FilterIndexError, Not, Or, TRUE,
                             access_predicate, eval_filter, filter_event_types,
-                            glob_match, parse_filter, print_filter)
+                            MAX_DEPTH, glob_match, parse_filter, print_filter)
 from npckit.history import Event, INSERT, TIME
 from npckit.model import document_entry
 
@@ -97,6 +97,22 @@ def test_parse_errors(src, code, offset):
         parse_filter(src)
     assert exc.value.code == code
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("shape", [
+    lambda n: "(" * n + "true" + ")" * n,
+    lambda n: " and ".join(["true"] * (n + 1)),
+    lambda n: " or ".join(["false"] * n + ["true"]),
+    lambda n: "not " * n + "true",
+    lambda n: "not (" * n + "true" + ")" * n,
+], ids=["parentheses", "and-chain", "or-chain", "nots", "not-parentheses"])
+def test_parse_bounds_nesting_and_reprints_what_it_accepts(shape):
+    e = parse_filter(shape(MAX_DEPTH))
+    assert eval_filter(e, ev_insert()) is True
+    assert parse_filter(print_filter(e)) == e
+    with pytest.raises(FilterError) as exc:
+        parse_filter(shape(MAX_DEPTH + 1))
+    assert exc.value.code == "too-deep"
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ import time
 import pytest
 
 from conftest import flush, on_driver, wait_for
+from npckit import gateways, wire
+from npckit.apps import demo_scenario
 from npckit.cli import NpcClient, TransportError
 from npckit.filters import parse_filter
 from npckit.gateways import TcpConn
 from npckit.history import NODE_ORIGIN, insert_event
 from npckit.model import PortSpec, port_entry
 from npckit.server import Server, ServerConfig
+from npckit.sim import run_scenario
 from npckit.wire import MAX_BODY, bye_frame, encode_frame, read_frame
 
 CONFIG = {"host": "127.0.0.1", "npc_tcp_port": 0,
@@ -280,3 +283,32 @@ def test_mirrored_servers_sending_each_other_more_than_the_buffers_hold_converge
         for s in sides:
             s.stop()
     assert not any(s._driver.is_alive() for s in sides)
+
+
+def test_every_loopback_frame_passes_the_frame_hook_once(monkeypatch):
+    """Frames and their bytes are counted by wrapping ``gateways.encode_frame``
+    (as ``bench/workloads.py`` does): every frame a loopback channel delivers
+    must pass the wrapper once, as a message dict whose kind names the frame."""
+    hooked = []
+    encode = gateways.encode_frame
+
+    def counting_encode(msg):
+        frame = encode(msg)
+        hooked.append((msg, frame))
+        return frame
+
+    delivered = []
+    decode = wire.decode_body
+    monkeypatch.setattr(gateways, "encode_frame", counting_encode)
+    monkeypatch.setattr(wire, "decode_body", lambda data: delivered.append(data) or decode(data))
+    scenario = demo_scenario("classifier")
+    scenario["stimuli"] += [
+        {"do": "connect", "id": "q", "target": "npc://feed:7070/root/admin"},
+        {"do": "send", "conn": "q",
+         "msg": {"kind": "cmd", "op": "query", "query": 'meta.topic == "sports"'}}]
+    run_scenario(scenario)
+    assert [frame[4:] for _, frame in hooked] == delivered
+    assert all(type(msg) is dict for msg, _ in hooked)
+    kinds = [decode(data)["kind"] for data in delivered]
+    assert [msg.get("kind") for msg, _ in hooked] == kinds
+    assert kinds.count("event") == 3  # two routed documents, one query result

@@ -1,5 +1,7 @@
 """Entry names, URLs, and entry validation."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from npckit.model import (Document, EntryUrl, NodeRef, PortSpec, UrlError,
@@ -73,3 +75,24 @@ def test_validate_entry_reserved_meta_shapes():
     assert validate_entry(document_entry("d", b"", meta={"priority": "high"}))
     assert validate_entry(document_entry("d", b"", meta={"reply-to": "a/b"}))
     assert validate_entry(document_entry("d", b"", meta={"output-filter": "not ("}))
+
+
+def test_an_entry_is_immutable_and_owns_its_metadata():
+    meta = {"topic": "news"}
+    e = document_entry("d", b"x", meta=meta)
+    with pytest.raises(TypeError):
+        e.meta["topic"] = "sports"
+    with pytest.raises(FrozenInstanceError):
+        e.name = "other"
+    meta["topic"] = "sports"
+    meta["extra"] = "1"
+    assert dict(e.meta) == {"topic": "news"}
+    assert e == document_entry("d", b"x", meta={"topic": "news"})
+
+
+def test_a_replaced_entry_starts_without_kept_bytes():
+    e = node_entry("n", meta={"a": "1"})
+    object.__setattr__(e, "_wire", b"kept")
+    copy = replace(e, meta={**e.meta, "b": "2"})
+    assert copy._wire is None
+    assert dict(copy.meta) == {"a": "1", "b": "2"} and dict(e.meta) == {"a": "1"}

@@ -281,6 +281,56 @@ def test_a_malformed_field_is_refused_and_the_admin_port_answers_on(msg):
     assert server.root.history.last_seq == last
 
 
+DEEP_FILTERS = {"parentheses": "(" * 3000 + "true" + ")" * 3000,
+                "and-chain": " and ".join(["true"] * 5000),
+                "nots": "not " * 3000 + "true"}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_FILTERS))
+@pytest.mark.parametrize("op", ["pull", "history", "query"])
+def test_a_filter_nested_too_deep_is_refused_and_the_admin_port_answers_on(op, shape):
+    """Parsing, evaluating and printing a filter recurse once or more per
+    level; a filter deeper than the parser's bound is an error reply, not
+    a fault that takes the admin port away."""
+    run = admin_run()
+    server = run.server("a")
+    server.root.post_event("admin", insert_event(document_entry("d", b"x")))
+    text = DEEP_FILTERS[shape]
+    run.send("c", {"pull": {"kind": "pull", "filter": text},
+                   "history": {"kind": "cmd", "op": "history", "filter": text},
+                   "query": {"kind": "cmd", "op": "query", "query": text}}[op])
+    replies = run.take_replies("c")
+    assert replies[0]["kind"] == "error" and replies[0]["code"] == "too-deep", replies
+    assert server.faults == 0
+    assert sorted(server.root.entries) == ["admin", "d"]
+    assert server.root.entries["admin"].kind == PORT
+    run.connect("c2", "npc://a:7070/root/admin")
+    run.take_replies("c2")
+    run.send("c2", LIST)
+    assert listed(run.take_replies("c2")) == ["admin", "d"]
+
+
+def test_local_queries_encode_a_document_once(monkeypatch):
+    """A stored entry keeps its encoding: N queries that each return the
+    same document base64-encode its content once between them."""
+    run = admin_run()
+    content = b"the one document" * 8
+    run.send("c", {"kind": "cmd", "op": "insert", "entry": entry_to_json(
+        document_entry("d", content, meta={"topic": "news"}))})
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    encoded = []
+    b64encode = base64.b64encode
+    monkeypatch.setattr(base64, "b64encode", lambda data: encoded.append(data) or b64encode(data))
+    for i in range(5):
+        run.connect(f"q{i}", "npc://a:7070/root/admin")
+        run.take_replies(f"q{i}")
+        run.send(f"q{i}", {"kind": "cmd", "op": "query", "query": 'meta.topic == "news"'})
+        events = [r for r in run.take_replies(f"q{i}") if r["kind"] == "event"]
+        assert [e["event"]["entry"]["content_b64"] for e in events] == [
+            b64encode(content).decode("ascii")]
+    assert encoded == [content]
+
+
 def test_an_oversize_forward_is_traced_as_a_drop(monkeypatch):
     """A document too big to frame cannot reach the other side of a
     mirror; the forwarder says so in the trace and forwards on."""

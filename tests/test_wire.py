@@ -6,12 +6,13 @@ import struct
 import pytest
 
 from conftest import rand_event, rand_filter
-from npckit.filters import parse_filter, print_filter
-from npckit.history import Event, INSERT
-from npckit.model import Document, PortSpec, document_entry, node_entry, port_entry
+from npckit.behaviors import tagged_with_origin
+from npckit.filters import Cmp, parse_filter, print_filter
+from npckit.history import Event, INSERT, KINDS, REMOVE, insert_event
+from npckit.model import Document, Entry, PortSpec, document_entry, node_entry, port_entry
 from npckit.wire import (FrameBuffer, MAX_BODY, WireError, bye_frame, decode_body,
-                         encode_frame, entry_from_json, entry_to_json,
-                         event_from_json, event_to_json, read_frame)
+                         encode_frame, entry_bytes, entry_from_json, entry_to_json,
+                         event_bytes, event_from_json, event_to_json, read_frame)
 
 
 def roundtrip_frame(msg):
@@ -204,3 +205,112 @@ def test_stamped_insert_event_survives_the_wire():
     e = document_entry("d", b"payload")
     ev = Event(INSERT, origin_port="in", entry=e, seq=42, created_at=1234)
     assert event_from_json(event_to_json(ev)) == ev
+
+
+# ---------------------------------------------------------------------------
+# events and entries spliced into frames
+
+# quotes, backslashes, every control character, non-ASCII and non-BMP text
+ALPHABET = ['"', "\\", "/", "\x7f", "é", "ß", "中", " ", "\U0001F600", "\U00010348",
+            "a", "Z", "0", " ", "-", "."] + [chr(c) for c in range(0x20)]
+
+
+def rand_text(rng, most=8):
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(0, most + 1)))
+
+
+def rand_meta(rng):
+    return {rand_text(rng): rand_text(rng) for _ in range(rng.randrange(0, 4))}
+
+
+def rand_any_filter(rng):
+    if rng.random() < 0.5:
+        return rand_filter(rng)
+    return Cmp("meta." + rng.choice(["topic", "x"]), rng.choice(["==", "matches"]), rand_text(rng))
+
+
+def rand_any_entry(rng):
+    name, meta = rand_text(rng) or "n", rand_meta(rng)
+    kind = rng.choice(["document", "node", "port"])
+    if kind == "document":
+        return document_entry(name, rng.randbytes(rng.randrange(0, 40)), rand_text(rng), meta)
+    if kind == "node":
+        return node_entry(name, meta)
+    spec = PortSpec(rand_text(rng) or "b", rand_meta(rng), rand_any_filter(rng),
+                    rand_any_filter(rng), receive_flag=rng.random() < 0.5,
+                    cursor=rng.randrange(1, 10**6), priority=rng.randrange(-9, 10))
+    return port_entry(name, spec, meta)
+
+
+def rand_any_event(rng):
+    kind = rng.choice(sorted(KINDS))
+    maybe = lambda make: make() if rng.random() < 0.5 else None
+    return Event(kind, origin_port=rand_text(rng),
+                 entry=rand_any_entry(rng) if kind in (INSERT, REMOVE) else maybe(
+                     lambda: rand_any_entry(rng)),
+                 subscription=maybe(lambda: rand_text(rng)),
+                 filter=maybe(lambda: rand_any_filter(rng)),
+                 label=maybe(lambda: rand_text(rng)),
+                 seq=rng.randrange(0, 10**9), created_at=rng.randrange(0, 10**12))
+
+
+def rand_message(rng):
+    events = lambda: [rand_any_event(rng) for _ in range(rng.randrange(0, 4))]
+    return rng.choice([
+        lambda: {"kind": "hello", "target": rand_text(rng)},
+        lambda: {"kind": "cmd", "op": rand_text(rng), "name": rand_text(rng),
+                 "filter": print_filter(rand_any_filter(rng)), "max": rng.randrange(0, 9)},
+        lambda: {"kind": "error", "code": rand_text(rng), "message": rand_text(rng, 20)},
+        lambda: {"kind": "event", "event": rand_any_event(rng)},
+        lambda: {"kind": "ack", "events": events(), "last": rng.randrange(0, 99),
+                 "at_end": rng.random() < 0.5},
+        lambda: {"kind": "ack", "entry": rand_any_entry(rng)},
+        lambda: {"kind": "ack", "entries": [rand_any_entry(rng)
+                                            for _ in range(rng.randrange(0, 4))]},
+        lambda: {"kind": "ack", "name": rand_text(rng), "meta": rand_meta(rng),
+                 "count": rng.randrange(0, 9), "done": True, "gone": None},
+    ])()
+
+
+def as_dicts(v):
+    if isinstance(v, Event):
+        return event_to_json(v)
+    if isinstance(v, Entry):
+        return entry_to_json(v)
+    if isinstance(v, list):
+        return [as_dicts(x) for x in v]
+    return v
+
+
+def test_events_and_entries_encode_to_the_bytes_of_their_dicts(rng):
+    for _ in range(400):
+        msg = rand_message(rng)
+        dicts = {k: as_dicts(v) for k, v in msg.items()}
+        body = json.dumps({**dicts, "v": 1}, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False).encode("utf-8")
+        expected = struct.pack(">I", len(body)) + body
+        assert encode_frame(dicts) == expected
+        assert encode_frame(msg) == expected
+        assert encode_frame(msg) == expected  # again, from the entries' kept bytes
+
+
+def test_a_document_keeps_its_bytes_and_a_port_does_not():
+    doc = document_entry("d", b"payload", meta={"k": "v"})
+    port = port_entry("p", PortSpec("manual"))
+    for e in (doc, port):
+        assert entry_bytes(e) == json.dumps(entry_to_json(e), sort_keys=True,
+                                            separators=(",", ":")).encode()
+    assert doc._wire == entry_bytes(doc)
+    assert port._wire is None
+    port.payload.config["changed"] = "yes"  # a spec may change; the encoding follows
+    assert b'"changed":"yes"' in entry_bytes(port)
+
+
+def test_a_tagged_copy_never_carries_the_originals_bytes():
+    ev = insert_event(document_entry("d", b"payload"))
+    event_bytes(ev)
+    assert ev.entry._wire is not None
+    tagged = tagged_with_origin(ev, "npc://a:7070/root")
+    assert tagged.entry._wire is None
+    assert b'"origin-node":"npc://a:7070/root"' in event_bytes(tagged)
+    assert b"origin-node" not in event_bytes(ev)
