@@ -17,15 +17,14 @@ them:
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from .filters import (And, Cmp, FilterError, FilterExpr, Not, Or, access_predicate,
                       eval_filter, glob_match, parse_filter, print_filter)
 from .history import (Event, INSERT, NODE_ORIGIN, REMOVE, SUSPEND, TIME,
                       insert_event, remove_event)
-from .model import (DOCUMENT, PORT, PortSpec, document_entry, port_entry, valid_name,
+from .model import (DOCUMENT, PORT, Entry, PortSpec, document_entry, port_entry, valid_name,
                     validate_entry)
-from .ports import BEHAVIORS, Behavior, behavior
+from .ports import BEHAVIORS, Behavior, behavior, config_fault
 from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError, content_b64,
                    entry_from_json, event_bytes, event_from_json, get_int, room_in)
 
@@ -58,15 +57,14 @@ def tagged_with_origin(ev: Event, node_url: str) -> Event:
     names where it came from."""
     if ev.entry is None or ev.entry.meta.get("origin-node"):
         return ev
-    meta = dict(ev.entry.meta)
-    meta["origin-node"] = node_url
-    return replace(ev, entry=replace(ev.entry, meta=meta))
+    e = ev.entry
+    return ev._replace(entry=Entry(e.name, {**e.meta, "origin-node": node_url}, e.kind, e.payload))
 
 
 def restamped(ev: Event) -> Event:
     """Incoming channel events carry the sender's stamps; the local node
     assigns its own."""
-    return replace(ev, seq=0, created_at=0)
+    return ev._replace(seq=0, created_at=0)
 
 
 def _err(conn, code: str, message: str = "") -> None:
@@ -94,6 +92,10 @@ def admit_push(ctx, conn, msg: dict) -> None:
         return
     if ev.kind not in (INSERT, REMOVE):
         _err(conn, "bad-kind", f"cannot push {ev.kind} events")
+        return
+    fault = config_fault(ev.entry) if ev.entry is not None else None
+    if fault is not None:
+        _err(conn, "invalid-entry", fault[1])
         return
     _post(ctx, conn, restamped(ev))
 
@@ -218,6 +220,10 @@ class AdminBehavior(Behavior):
             return
         if entry.kind == PORT and entry.payload.behavior not in BEHAVIORS:
             _err(conn, "unknown-behavior", entry.payload.behavior)
+            return
+        fault = config_fault(entry)
+        if fault is not None:
+            _err(conn, "invalid-entry", fault[1])
             return
         server = self.ctx.server
         faults = server.faults
@@ -361,6 +367,7 @@ BEHAVIORS["classifier"] = ForwarderBehavior
 @behavior("puller")
 class PullerBehavior(Behavior):
     resume_on_suspend = True
+    int_config = {"after": None, "max": None, "every": 1}
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -820,6 +827,7 @@ class GcBehavior(Behavior):
     """Removes documents that have outlived ``max_age`` clock units."""
 
     resume_on_suspend = True
+    int_config = {"every": 1, "max_age": None}
 
     def __init__(self, ctx):
         super().__init__(ctx)

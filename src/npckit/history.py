@@ -9,7 +9,7 @@ Receive events are never recorded; they only arm a subscription.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .filters import FilterExpr, eval_filter
 from .model import Entry
@@ -27,14 +27,14 @@ KINDS = frozenset([INSERT, REMOVE, RECEIVE, SUSPEND, RESUME, CLOSE, TIME])
 NODE_ORIGIN = "@node"
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """Immutable record of something that happened at a node.
 
     ``seq`` is 0 until the history stamps the event; ``created_at`` is a
     logical timestamp (virtual clock ticks in sim mode, wall clock
     milliseconds otherwise).  ``entry`` is a snapshot: for a Remove it holds
-    the removed entry's last state.
+    the removed entry's last state.  A copy with other fields is made with
+    ``_replace`` or the constructor.
     """
 
     kind: str
@@ -48,7 +48,7 @@ class Event:
 
 
 def insert_event(entry: Entry, origin: str = NODE_ORIGIN) -> Event:
-    return Event(INSERT, origin_port=origin, entry=entry)
+    return Event(INSERT, origin, entry)
 
 
 def remove_event(entry: Entry, origin: str = NODE_ORIGIN) -> Event:
@@ -151,7 +151,8 @@ class EventHistory:
         if ev.seq != 0:
             raise HistoryError("already-stamped", f"seq {ev.seq}")
         self._last_seq += 1
-        stamped = replace(ev, seq=self._last_seq, created_at=self._clock())
+        # the event with its last two fields, seq and created_at, stamped
+        stamped = Event._make(ev[:6] + (self._last_seq, self._clock()))
         key = _cancel_key(stamped)
         if key is not None:
             if stamped.kind in (REMOVE, CLOSE):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .filters import And, FilterExpr, TRUE, FilterIndex, ValueMap, entry_field, eval_filter
 from .history import (Event, EventHistory, INSERT, KINDS, NODE_ORIGIN, REMOVE,
@@ -147,9 +147,12 @@ class Node:
     def path_text(self) -> str:
         return self.actor_base + "/" + "/".join(self.path)
 
-    def _trace(self, action: str, detail: str, actor: str | None = None) -> None:
+    def _trace(self, action: str, port: str, detail: str, *args) -> None:
+        """Trace ``detail.format(*args)`` as the action of ``port``, or of
+        the node itself for ``@node``.  Without a tracer nothing is
+        formatted."""
         if self.tracer is not None:
-            self.tracer.record(actor or self.path_text, action, detail)
+            self.tracer.record(self._port_actor(port), action, detail.format(*args))
 
     # -- spec access ---------------------------------------------------------
 
@@ -182,14 +185,13 @@ class Node:
             raise NodeError("bad-kind", ev.kind)
         if from_port != NODE_ORIGIN and self.port_spec(from_port) is None:
             raise NodeError("unknown-port", from_port)
-        ev = replace(ev, origin_port=from_port)
-
-        if ev.kind == REMOVE and ev.entry is not None:
-            current = self.entries.get(ev.entry.name)
-            if current is not None:
-                # the Remove carries the last state of the entry it removes,
-                # and output filters judge that state, not the caller's stub
-                ev = replace(ev, entry=current)
+        entry = ev.entry
+        if ev.kind == REMOVE and entry is not None:
+            # the Remove carries the last state of the entry it removes,
+            # and output filters judge that state, not the caller's stub
+            entry = self.entries.get(entry.name, entry)
+        if ev.origin_port != from_port or entry is not ev.entry:
+            ev = ev._replace(origin_port=from_port, entry=entry)
 
         if ev.kind in (INSERT, REMOVE, TIME) and from_port != NODE_ORIGIN:
             spec = self.port_spec(from_port)
@@ -223,7 +225,7 @@ class Node:
         sub.at_end_notified = False
         self._index(sub)
         self._refresh(sub)
-        self._trace("post", f"Receive {sub.name}", actor=self._port_actor(from_port))
+        self._trace("post", from_port, "Receive {}", sub.name)
 
     def _post_suspend(self, from_port: str, ev: Event) -> None:
         key = (from_port, ev.subscription or "default")
@@ -231,7 +233,7 @@ class Node:
         if sub is not None:
             sub.flag = False
             self._refresh(sub)
-        self._trace("post", f"Suspend {key[1]}", actor=self._port_actor(from_port))
+        self._trace("post", from_port, "Suspend {}", key[1])
 
     def _post_resume(self, from_port: str, ev: Event) -> Event | None:
         sub, created = self._sub_for(from_port, ev)
@@ -239,11 +241,11 @@ class Node:
             self._index(sub)
         sub.flag = True
         self._refresh(sub)
-        self._trace("post", f"Resume {sub.name}", actor=self._port_actor(from_port))
+        self._trace("post", from_port, "Resume {}", sub.name)
         if self._peek(sub) is None:
             # nothing left to deliver: record the Resume so interested
             # in-ports can react to fresh demand
-            return self._append(replace(ev, subscription=sub.name))
+            return self._append(ev._replace(subscription=sub.name))
         return None
 
     def _post_close(self, from_port: str, ev: Event) -> Event:
@@ -251,8 +253,8 @@ class Node:
         key = (from_port, name)
         if key in self.subs:
             self._remove_sub(key)
-        self._trace("post", f"Close {name}", actor=self._port_actor(from_port))
-        return self._append(replace(ev, subscription=name))
+        self._trace("post", from_port, "Close {}", name)
+        return self._append(ev._replace(subscription=name))
 
     def _post_insert(self, from_port: str, ev: Event) -> Event:
         if ev.entry is None:
@@ -261,7 +263,7 @@ class Node:
         old = self.entries.get(name)
         self.entries[name] = ev.entry
         self._file_entry(name, old, ev.entry)
-        self._trace("post", f"Insert {name}", actor=self._port_actor(from_port))
+        self._trace("post", from_port, "Insert {}", name)
         stamped = self._append(ev)
         if old is not None and old.kind == PORT:
             self._drop_port(name, old)
@@ -281,9 +283,9 @@ class Node:
         else:
             # removing what is not there is a no-op, not an error, and
             # leaves no trace in the history
-            self._trace("post", f"Remove {name} (absent)", actor=self._port_actor(from_port))
+            self._trace("post", from_port, "Remove {} (absent)", name)
             return None
-        self._trace("post", f"Remove {name}", actor=self._port_actor(from_port))
+        self._trace("post", from_port, "Remove {}", name)
         stamped = self._append(ev)
         if current.kind == PORT:
             self._drop_port(name, current)
@@ -299,8 +301,10 @@ class Node:
 
     def _append(self, ev: Event) -> Event:
         stamped = self.history.append(ev)
-        name = stamped.entry.name if stamped.entry is not None else (stamped.label or stamped.subscription or "")
-        self._trace("append", f"{stamped.kind}#{stamped.seq} {name}".rstrip())
+        subject = (stamped.entry.name if stamped.entry is not None
+                   else stamped.label or stamped.subscription or "").rstrip()
+        self._trace("append", NODE_ORIGIN,
+                    "{0.kind}#{0.seq} {1}" if subject else "{0.kind}#{0.seq}", stamped, subject)
         for key in self.index.match(stamped):
             sub = self.subs[key]
             sub.pending.append(stamped.seq)
@@ -476,8 +480,7 @@ class Node:
                 if ev.kind in (INSERT, REMOVE, TIME):
                     sub.at_end_notified = False
                 self._refresh(sub)
-                self._trace("deliver", f"{ev.kind}#{ev.seq} -> {sub.name}",
-                            actor=self._port_actor(sub.port))
+                self._trace("deliver", sub.port, "{0.kind}#{0.seq} -> {1}", ev, sub.name)
                 consumed = self._sink(sub.port, ev, sub.name)
                 if consumed and is_exclusive(ev):
                     self.history.mark_consumed(ev.seq)
@@ -486,8 +489,7 @@ class Node:
             sub.at_end_notified = True
             self._refresh(sub)
             notice = Event(SUSPEND, origin_port=NODE_ORIGIN, subscription=sub.name)
-            self._trace("deliver", f"Suspend@node -> {sub.name}",
-                        actor=self._port_actor(sub.port))
+            self._trace("deliver", sub.port, "Suspend@node -> {}", sub.name)
             self._sink(sub.port, notice, sub.name)
             return Delivered(sub.port, sub.name, notice)
         return None
@@ -520,11 +522,11 @@ class Node:
             for sub in matching[port]:
                 sub.offered.add(ev.seq)
             first = matching[port][0]
-            self._trace("offer", f"{ev.kind}#{ev.seq} -> {port}", actor=self._port_actor(port))
+            self._trace("offer", port, "{0.kind}#{0.seq} -> {1}", ev, port)
             consumed = self._sink(port, ev, first.name)
             if consumed:
                 self.history.mark_consumed(ev.seq)
-                self._trace("consume", f"{ev.kind}#{ev.seq} by {port}")
+                self._trace("consume", NODE_ORIGIN, "{0.kind}#{0.seq} by {1}", ev, port)
                 return port
         return None
 

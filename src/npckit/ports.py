@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .filters import FilterExpr
 from .history import NODE_ORIGIN, receive_event, remove_event, resume_event
-from .model import EntryUrl
+from .model import PORT, EntryUrl
 
 
 class PortContext:
@@ -90,15 +90,18 @@ class PortContext:
 
     def send(self, conn, msg: dict) -> bool:
         ok = conn.send(msg)
-        self.trace("send", f"{msg.get('kind')} -> {conn.label}")
+        self.trace("send", "{} -> {}", msg.get("kind"), conn.label)
         return ok
 
     def stub(self, name: str):
         return self.server.stub(name, requester=self.name)
 
-    def trace(self, action: str, detail: str) -> None:
+    def trace(self, action: str, detail: str, *args) -> None:
+        """Trace ``detail``, formatted with ``args`` when there are any, as
+        this port's action.  Without a tracer nothing is formatted."""
         if self.node.tracer is not None:
-            self.node.tracer.record(self.node._port_actor(self.name), action, detail)
+            self.node.tracer.record(self.node._port_actor(self.name), action,
+                                    detail.format(*args) if args else detail)
 
 
 class Behavior:
@@ -111,6 +114,11 @@ class Behavior:
     # answers it with a Resume of that subscription instead of delivering
     # it, so a long-lived consumer keeps receiving.
     resume_on_suspend = False
+
+    # The config keys the behavior reads as integers, each with the least
+    # value it can run with (None: any).  A port entry whose config breaks
+    # one is refused before it is posted (see ``config_fault``).
+    int_config: dict[str, int | None] = {}
 
     def __init__(self, ctx: PortContext):
         self.ctx = ctx
@@ -131,6 +139,25 @@ class Behavior:
 
 
 BEHAVIORS: dict[str, type] = {}
+
+
+def config_fault(entry) -> tuple[str, str] | None:
+    """For a port entry, the first integer config key its behavior could
+    not run with, and why; None when there is none, or for another entry."""
+    if entry.kind != PORT:
+        return None
+    spec = entry.payload
+    for key, low in getattr(BEHAVIORS.get(spec.behavior), "int_config", {}).items():
+        text = spec.config.get(key)
+        if text is None:
+            continue
+        try:
+            value = int(text)
+        except (TypeError, ValueError):
+            return key, f"config {key} is not an integer: {text!r}"
+        if low is not None and value < low:
+            return key, f"config {key} is below {low}: {text!r}"
+    return None
 
 
 def behavior(name: str):

@@ -24,7 +24,7 @@ from .history import NODE_ORIGIN, SUSPEND, insert_event
 from .httpd import HttpConn
 from .model import DOCUMENT, Entry, EntryUrl, NODE, PORT, UrlError, parse_url, valid_name
 from .node import Node, ReadyRing
-from .ports import BEHAVIORS, PortContext
+from .ports import BEHAVIORS, PortContext, config_fault
 from .wire import BYE, ERROR, HELLO, WireError, entry_from_json, get_int
 from . import behaviors as _stock_behaviors  # noqa: F401  (fills BEHAVIORS)
 
@@ -101,6 +101,9 @@ def parse_entry_def(d: dict, path: str):
     if entry.kind == PORT:
         b = entry.payload.behavior
         _require(b in BEHAVIORS, f"{path}.behavior", f"unknown behavior {b!r}")
+        fault = config_fault(entry)
+        if fault is not None:
+            raise ConfigError(f"{path}.config.{fault[0]}", fault[1])
     elif entry.kind == NODE:
         children = d.get("entries", [])
         _require(isinstance(children, list), f"{path}.entries", "must be a list")
@@ -149,9 +152,11 @@ class Server:
     def url_for(self, node: Node) -> EntryUrl:
         return EntryUrl(self.config.host, self.advertised_port, node.path)
 
-    def _trace(self, action: str, detail: str) -> None:
+    def _trace(self, action: str, detail: str, *args) -> None:
+        """Trace ``detail``, formatted with ``args`` when there are any.
+        Without a tracer nothing is formatted."""
         if self.tracer is not None:
-            self.tracer.record(self.describe(), action, detail)
+            self.tracer.record(self.describe(), action, detail.format(*args) if args else detail)
 
     # -- boot ---------------------------------------------------------------------
 
@@ -387,7 +392,7 @@ class Server:
 
     def handle_message(self, conn, msg: dict) -> None:
         kind = msg.get("kind")
-        self._trace("recv", f"{kind} on {conn.label}")
+        self._trace("recv", "{} on {}", kind, conn.label)
         if kind == BYE:
             self._handle_bye(conn)
             return

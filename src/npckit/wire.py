@@ -21,7 +21,7 @@ import struct
 from json.encoder import encode_basestring as _str  # json.dumps' own, ensure_ascii off
 
 from .filters import FilterExpr, parse_filter, print_filter
-from .history import Event, KINDS
+from .history import Event, INSERT, KINDS, NODE_ORIGIN
 from .model import (DOCUMENT, Document, Entry, NODE, NodeRef, PORT, PortSpec,
                     valid_name)
 
@@ -68,58 +68,58 @@ def entry_bytes(entry: Entry) -> bytes:
     return data
 
 
+# an unstamped node-issued Insert, as a query answers with: only the entry varies
+_NODE_INSERT_HEAD = b'{"created_at":0,"entry":'
+_NODE_INSERT_TAIL = b',"kind":"Insert","origin_port":"@node","seq":0}'
+_FILTER, _LABEL, _SUBSCRIPTION = ',"filter":', ',"label":', ',"subscription":'
+
+
 def event_bytes(ev: Event) -> bytes:
     """The JSON of ``event_to_json(ev)``, its fields written around the
     entry's own bytes."""
-    tail = (("" if ev.filter is None else ',"filter":' + _str(print_filter(ev.filter)))
-            + ',"kind":' + _str(ev.kind)
-            + ("" if ev.label is None else ',"label":' + _str(ev.label))
-            + ',"origin_port":' + _str(ev.origin_port)
-            + f',"seq":{ev.seq}'
-            + ("" if ev.subscription is None else ',"subscription":' + _str(ev.subscription))
-            + "}")
-    if ev.entry is None:
-        return f'{{"created_at":{ev.created_at}{tail}'.encode("utf-8")
-    return b"".join((f'{{"created_at":{ev.created_at},"entry":'.encode("utf-8"),
-                     entry_bytes(ev.entry), tail.encode("utf-8")))
+    kind, origin, entry, sub, filt, label, seq, created = ev
+    if not seq and entry is not None and ev == (INSERT, NODE_ORIGIN, entry,
+                                                 None, None, None, 0, 0):
+        return _NODE_INSERT_HEAD + entry_bytes(entry) + _NODE_INSERT_TAIL
+    tail = (f'{"" if filt is None else _FILTER + _str(print_filter(filt))},"kind":{_str(kind)}'
+            f'{"" if label is None else _LABEL + _str(label)},"origin_port":{_str(origin)}'
+            f',"seq":{seq}{"" if sub is None else _SUBSCRIPTION + _str(sub)}}}').encode("utf-8")
+    if entry is None:
+        return b'{"created_at":%d%s' % (created, tail)
+    return b'{"created_at":%d,"entry":%s%s' % (created, entry_bytes(entry), tail)
 
 
-_OBJECTS = (Event, Entry)
+# how a value of each type is written: events and entries from their own
+# bytes, spliced into the body; plain values as JSON text
+_SPLICED = {Event: event_bytes, Entry: entry_bytes}
+_PLAIN = {str: _str, int: int.__repr__, bool: lambda v: "true" if v else "false",
+          type(None): lambda v: "null"}
 
 
 def _item(v: Event | Entry) -> bytes:
-    return event_bytes(v) if isinstance(v, Event) else entry_bytes(v)
-
-
-def _plain(v) -> str:
-    """The JSON text of ``v``; strings and integers, the usual fields of a
-    message, without a call into the encoder."""
-    if type(v) is str:
-        return _str(v)
-    if type(v) is int:
-        return str(v)
-    if type(v) is bool:
-        return "true" if v else "false"
-    return _encode(v)
+    return _SPLICED[type(v)](v)
 
 
 def _body(body: dict) -> bytes:
     """``_json(body)``, with the values that are events and entries, or
-    lists of them, spliced in from their own bytes."""
+    lists of them, spliced in from their own bytes.  An event or entry is
+    spliced only as a value of ``body`` or an item of a list that starts
+    with one; a body without any takes one call of the C encoder."""
     for v in body.values():  # the same test as below, inline: every frame takes it
-        if isinstance(v, _OBJECTS) or (type(v) is list and v and isinstance(v[0], _OBJECTS)):
+        if type(v) in _SPLICED or (type(v) is list and v and type(v[0]) in _SPLICED):
             break
     else:
         return _json(body)
     parts, text = [], "{"  # text: what comes after the last spliced value
     for key in sorted(body):
         v = body[key]
-        if isinstance(v, _OBJECTS):
-            data = _item(v)
-        elif type(v) is list and v and isinstance(v[0], _OBJECTS):
+        t = type(v)
+        if t in _SPLICED:
+            data = _SPLICED[t](v)
+        elif t is list and v and type(v[0]) in _SPLICED:
             data = b"[" + b",".join(map(_item, v)) + b"]"
         else:
-            text += f"{_str(key)}:{_plain(v)},"
+            text += f"{_str(key)}:{_PLAIN.get(t, _encode)(v)},"
             continue
         parts += (f"{text}{_str(key)}:".encode("utf-8"), data)
         text = ","
@@ -136,12 +136,15 @@ def encode_frame(msg: dict) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
+_decode = json.JSONDecoder().decode
+
+
 def decode_body(data: bytes) -> dict:
     try:
-        body = json.loads(data.decode("utf-8"))
+        body = _decode(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise WireError("malformed", str(e))
-    if not isinstance(body, dict):
+    if type(body) is not dict:
         raise WireError("malformed", "frame body is not an object")
     if body.get("v") != VERSION:
         raise WireError("bad-version", f"got {body.get('v')!r}")

@@ -19,6 +19,26 @@ def rem(name, origin="in"):
     return remove_event(document_entry(name, b""), origin)
 
 
+def test_an_event_is_immutable():
+    ev = ins("a")
+    for name in Event._fields:
+        with pytest.raises(AttributeError):
+            setattr(ev, name, getattr(ev, name))
+    assert ev._replace(seq=3) == Event(INSERT, "in", ev.entry, seq=3)
+    assert ev.seq == 0
+
+
+def test_append_returns_a_stamped_copy_and_leaves_the_posted_event_alone():
+    h = EventHistory(clock=lambda: 9)
+    posted = ins("a")
+    stamped = h.append(posted)
+    assert stamped is not posted
+    assert (posted.seq, posted.created_at) == (0, 0)
+    assert (stamped.seq, stamped.created_at) == (1, 9)
+    assert stamped._replace(seq=0, created_at=0) == posted
+    assert h.get(1) is stamped
+
+
 def test_append_stamps_monotonic_seq_and_time():
     t = [0]
     h = EventHistory(clock=lambda: t[0])

@@ -55,13 +55,14 @@ def retired_by_node(run: SimRun, name: str) -> bool:
 
 def test_faulting_event_hook_retires_the_port_and_the_server_answers_on():
     run = admin_run()
-    run.send("c", insert_port("gc1", "gc", {"every": "1", "max_age": "x"}))
+    # a puller without a source raises on its first tick
+    run.send("c", insert_port("p1", "puller", {"every": "1"}))
     assert run.take_replies("c")[0]["kind"] == "ack"
     run.tick(1)
     faults = [line for line in run.tracer.lines() if "\tfault\t" in line]
-    assert len(faults) == 1 and "gc1" in faults[0] and "on_event" in faults[0]
-    assert "gc1" not in run.server("a").root.entries
-    assert retired_by_node(run, "gc1")
+    assert len(faults) == 1 and "p1" in faults[0] and "on_event" in faults[0]
+    assert "p1" not in run.server("a").root.entries
+    assert retired_by_node(run, "p1")
     run.send("c", {"kind": "cmd", "op": "list"})
     assert listed(run.take_replies("c")) == ["admin"]
 
@@ -70,15 +71,16 @@ def test_failed_spawn_answers_an_error_and_leaves_no_port():
     run = admin_run()
     server = run.server("a")
     start = len(run.tracer.rows)
-    run.send("c", insert_port("gc1", "gc", {"every": "abc"}))
+    # a filter that does not parse is read, and raises, in on_start
+    run.send("c", insert_port("p1", "puller", {"filter": "not ("}))
     reply = run.take_replies("c")[0]
     assert reply["kind"] == "error" and reply["code"] == "behavior-failed", reply
-    assert "gc1" not in server.root.entries
-    assert (("root",), "gc1") not in server.behaviors
+    assert "p1" not in server.root.entries
+    assert (("root",), "p1") not in server.behaviors
     appends = [line.split("\t")[3] for line in run.tracer.lines()[start:]
                if line.split("\t")[2] == "append"]
     assert [a.split("#")[0] for a in appends] == ["Insert", "Remove"]
-    assert retired_by_node(run, "gc1")
+    assert retired_by_node(run, "p1")
     run.send("c", {"kind": "cmd", "op": "list"})
     assert listed(run.take_replies("c")) == ["admin"]
 
@@ -145,11 +147,11 @@ def test_driver_survives_a_faulting_behavior_over_tcp():
         client = NpcClient(f"npc://127.0.0.1:{server.advertised_port}/root/admin",
                            timeout=5)
         try:
-            reply = client.roundtrip(insert_port("gc1", "gc", {"every": "1", "max_age": "x"}))
+            reply = client.roundtrip(insert_port("p1", "puller", {"every": "1"}))
             assert reply["kind"] == "ack", reply
-            # the first tick of the gc port's timer raises in its on_event
+            # the first tick of the sourceless puller's timer raises in its on_event
             deadline = time.monotonic() + 5
-            while "gc1" in listed([client.roundtrip({"kind": "cmd", "op": "list"})]):
+            while "p1" in listed([client.roundtrip({"kind": "cmd", "op": "list"})]):
                 assert time.monotonic() < deadline, "faulting port was not retired"
                 time.sleep(0.01)
             assert server._driver.is_alive()
@@ -279,6 +281,39 @@ def test_a_malformed_field_is_refused_and_the_admin_port_answers_on(msg):
     run.send("c", LIST)
     assert listed(run.take_replies("c")) == ["admin", "welcome"]
     assert server.root.history.last_seq == last
+
+
+@pytest.mark.parametrize("path", ["cmd", "push"])
+@pytest.mark.parametrize("behavior, config", [
+    ("gc", {"every": "abc"}),
+    ("gc", {"every": "-1"}),
+    ("gc", {"every": "5", "max_age": "old"}),
+    ("puller", {"source": "npc://web:7070/root/admin", "every": "0"}),
+    ("puller", {"source": "npc://web:7070/root/admin", "after": "first"}),
+], ids=["gc-every-text", "gc-every-negative", "gc-max-age-text", "puller-every-zero",
+        "puller-after-text"])
+def test_a_port_whose_integer_config_cannot_be_read_is_refused_and_nothing_changes(
+        path, behavior, config):
+    """Such a port would fault when it starts, after replacing the entry of
+    the same name: the error reply comes first, and nothing changed."""
+    run = SimRun()
+    run.add_server(build_preset("doc-server")[0])
+    run.quiesce()
+    run.connect("c", "npc://web:7070/root/admin")
+    run.take_replies("c")
+    server = run.server("web")
+    table = dict(server.root.entries)
+    last = server.root.history.last_seq
+    entry = entry_to_json(port_entry("welcome", PortSpec(behavior, config)))
+    if path == "cmd":
+        run.send("c", {"kind": "cmd", "op": "insert", "entry": entry})
+    else:
+        run.send("c", {"kind": "event", "event": {"kind": "Insert", "entry": entry}})
+    reply, = run.take_replies("c")
+    assert reply["kind"] == "error" and reply["code"] == "invalid-entry", reply
+    assert server.root.entries == table
+    assert server.root.history.last_seq == last
+    assert server.faults == 0
 
 
 DEEP_FILTERS = {"parentheses": "(" * 3000 + "true" + ")" * 3000,
@@ -555,6 +590,22 @@ def test_connections_are_recorded_only_by_the_ports_that_own_them():
                 tables.append(f"{path.name}:{node.lineno}")
     assert tables == []
     assert not hasattr(admin_run().server("a"), "conns")
+
+
+def test_no_module_copies_with_dataclasses_replace():
+    """Events are copied with ``_replace`` or a constructor, entries with
+    their constructor: ``dataclasses.replace`` costs about twice either."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                calls += [f"{path.name}:{node.lineno} import {a.name}"
+                          for a in node.names if a.name == "replace"]
+            if (isinstance(node, ast.Attribute) and node.attr == "replace"
+                    and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"):
+                calls.append(f"{path.name}:{node.lineno} dataclasses.replace")
+    assert calls == []
 
 
 def real_server() -> Server:

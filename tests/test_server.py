@@ -154,6 +154,20 @@ def test_config_values_follow_the_wire_rules(config, where):
     assert e.value.path == where
 
 
+@pytest.mark.parametrize("behavior, config, key", [
+    ("gc", {"every": "abc"}, "every"),
+    ("gc", {"every": "0"}, "every"),
+    ("gc", {"max_age": "1.5"}, "max_age"),
+    ("puller", {"source": "npc://b:7070/root/admin", "after": "x"}, "after"),
+    ("puller", {"source": "npc://b:7070/root/admin", "max": ""}, "max"),
+])
+def test_config_rejects_an_integer_port_config_key_its_behavior_cannot_read(behavior, config, key):
+    with pytest.raises(ConfigError) as e:
+        ServerConfig.from_dict({"host": "a", "root": {"entries": [
+            {"name": "p", "kind": "port", "behavior": behavior, "config": config}]}})
+    assert e.value.path == f"config.root.entries[0].config.{key}"
+
+
 def test_config_still_loads_with_the_retired_indexed_key():
     # delivery has one path now; older configs may still carry the key
     for value in (True, False):

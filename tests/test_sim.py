@@ -2,7 +2,9 @@
 
 import pytest
 
-from npckit.sim import (SimError, SimRun, Tracer, VirtualClock, assert_trace,
+from npckit.apps import demo_scenario
+from npckit.node import Node
+from npckit.sim import (SimError, SimRun, Tracer, VirtualClock, apply_stimulus, assert_trace,
                         run_scenario)
 from npckit.wire import event_to_json
 from npckit.history import insert_event
@@ -119,3 +121,27 @@ def test_duplicate_server_host_rejected():
             {"host": "a", "root": {"entries": []}},
             {"host": "a", "npc_tcp_port": 7071, "root": {"entries": []}},
         ]})
+
+
+def test_tracing_costs_nothing_when_off(monkeypatch):
+    """With no tracer attached, no trace site names an actor: a document
+    inserted, forwarded by the classifier preset and delivered formats no
+    trace text on the way."""
+    calls = []
+    port_actor, path_text = Node._port_actor, Node.path_text.fget
+    monkeypatch.setattr(Node, "_port_actor",
+                        lambda self, port: calls.append("_port_actor") or port_actor(self, port))
+    monkeypatch.setattr(Node, "path_text",
+                        property(lambda self: calls.append("path_text") or path_text(self)))
+    run = SimRun()
+    run.tracer = None
+    scenario = demo_scenario("classifier")
+    for config in scenario["servers"]:
+        run.add_server(config)
+    run.quiesce()
+    for stim in scenario["stimuli"]:
+        apply_stimulus(run, stim)
+    feed = run.server("feed")
+    assert "match-report" in feed.nodes[("root", "sports")].entries
+    assert "debate" in feed.nodes[("root", "politics")].entries
+    assert calls == []

@@ -81,6 +81,29 @@ def test_decode_rejects_bad_version_and_malformed():
     assert exc.value.code == "malformed"
 
 
+@pytest.mark.parametrize("data, code", [
+    (b'{"v":1,"kind":"bye"} x', "malformed"),
+    (b'{"v":1,"kind":"bye"}{}', "malformed"),
+    (b'1', "malformed"),
+    (b'"bye"', "malformed"),
+    (b'null', "malformed"),
+    (b'{"kind":"bye"}', "bad-version"),
+    (b'{"v":"1","kind":"bye"}', "bad-version"),
+    (b'{"v":1.5,"kind":"bye"}', "bad-version"),
+    (b'{"v":1,"kind":""}', "malformed"),
+    (b'{"v":1,"kind":7}', "malformed"),
+    (b'{"v":1,"kind":"\xc3"}', "malformed"),
+    (b'{"v":1,"kind":"bye","x":"\xed\xa0\x80"}', "malformed"),
+], ids=["trailing-text", "trailing-object", "number", "string", "null", "no-version",
+        "version-text", "version-float", "empty-kind", "kind-not-text", "cut-utf8",
+        "surrogate-utf8"])
+def test_decode_refuses_anything_but_one_versioned_object(data, code):
+    with pytest.raises(WireError) as exc:
+        decode_body(data)
+    assert exc.value.code == code
+    assert decode_body(b' {"v":1,"kind":"bye"}\n') == {"v": 1, "kind": "bye"}
+
+
 def test_decode_passes_unknown_kinds_through():
     # the codec stays kind-agnostic so peers can extend the vocabulary
     msg = roundtrip_frame({"kind": "stretch", "x": 1})
@@ -272,6 +295,34 @@ def rand_message(rng):
     ])()
 
 
+def rand_plain(rng, depth=0):
+    """A JSON value of any plain type, nested up to three levels."""
+    makers = [lambda: True, lambda: False, lambda: None, lambda: rand_text(rng),
+              lambda: rng.randrange(-10**12, 10**12), lambda: -rng.randrange(1, 10)]
+    if depth < 3:
+        makers += [lambda: [rand_plain(rng, depth + 1) for _ in range(rng.randrange(0, 4))],
+                   lambda: {rand_text(rng): rand_plain(rng, depth + 1)
+                            for _ in range(rng.randrange(0, 4))},
+                   lambda: [{rand_text(rng): rand_plain(rng, depth + 1)}
+                            for _ in range(rng.randrange(0, 3))],
+                   lambda: []]
+    return rng.choice(makers)()
+
+
+def rand_plain_message(rng):
+    """Plain values under escaped and non-ASCII keys, alone or beside an
+    event, an unstamped node-issued Insert (a query result) or entries."""
+    msg = {rand_text(rng): rand_plain(rng) for _ in range(rng.randrange(0, 6))}
+    msg["kind"] = rng.choice(["ack", "event", rand_text(rng)])
+    extra = rng.choice([
+        lambda: {},
+        lambda: {"event": rand_any_event(rng)},
+        lambda: {"event": insert_event(rand_any_entry(rng))},
+        lambda: {rand_text(rng): [rand_any_entry(rng) for _ in range(rng.randrange(1, 3))]},
+    ])()
+    return {**msg, **extra}
+
+
 def as_dicts(v):
     if isinstance(v, Event):
         return event_to_json(v)
@@ -283,8 +334,8 @@ def as_dicts(v):
 
 
 def test_events_and_entries_encode_to_the_bytes_of_their_dicts(rng):
-    for _ in range(400):
-        msg = rand_message(rng)
+    for i in range(800):
+        msg = rand_message(rng) if i % 2 else rand_plain_message(rng)
         dicts = {k: as_dicts(v) for k, v in msg.items()}
         body = json.dumps({**dicts, "v": 1}, sort_keys=True, separators=(",", ":"),
                           ensure_ascii=False).encode("utf-8")
