@@ -136,12 +136,18 @@ def encode_frame(msg: dict) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-_decode = json.JSONDecoder().decode
+_decoder = json.JSONDecoder()
 
 
 def decode_body(data: bytes) -> dict:
     try:
-        body = _decode(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        try:  # the decoder's C core reads a body as frames carry it, with no space around
+            body, end = _decoder.scan_once(text, 0)
+        except StopIteration:  # no JSON value at the start
+            end = -1
+        if end != len(text):  # space around it, trailing data, or no value: the full rules
+            body = _decoder.decode(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise WireError("malformed", str(e))
     if type(body) is not dict:

@@ -94,9 +94,13 @@ def test_decode_rejects_bad_version_and_malformed():
     (b'{"v":1,"kind":7}', "malformed"),
     (b'{"v":1,"kind":"\xc3"}', "malformed"),
     (b'{"v":1,"kind":"bye","x":"\xed\xa0\x80"}', "malformed"),
+    (b'', "malformed"),
+    (b' \n', "malformed"),
+    (b' {"v":1,"kind":"bye"} x', "malformed"),
+    (b'{"v":1,"kind":"bye"', "malformed"),
 ], ids=["trailing-text", "trailing-object", "number", "string", "null", "no-version",
         "version-text", "version-float", "empty-kind", "kind-not-text", "cut-utf8",
-        "surrogate-utf8"])
+        "surrogate-utf8", "empty", "only-space", "space-then-trailing-text", "unclosed"])
 def test_decode_refuses_anything_but_one_versioned_object(data, code):
     with pytest.raises(WireError) as exc:
         decode_body(data)
