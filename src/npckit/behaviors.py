@@ -10,21 +10,21 @@ them:
 - events leaving a node over a channel are tagged with the node's URL in
   ``origin-node`` metadata unless already tagged, so replicas can tell
   copies from originals,
-- events arriving over a channel are posted through the receiving port and
-  its output filter, which is the only admission control there is.
+- events arriving over a channel are posted through the receiving port's
+  output filter, the only policy, once ``ports.admission_fault`` admits them.
 """
 
 from __future__ import annotations
 
 import re
 
-from .filters import (And, Cmp, FilterError, FilterExpr, Not, Or, access_predicate,
+from .filters import (TRUE, And, Cmp, FilterError, FilterExpr, Not, Or, access_predicate,
                       eval_filter, glob_match, parse_filter, print_filter)
 from .history import (Event, INSERT, NODE_ORIGIN, REMOVE, SUSPEND, TIME,
                       insert_event, remove_event)
-from .model import (DOCUMENT, PORT, Entry, PortSpec, document_entry, port_entry, valid_name,
-                    validate_entry)
-from .ports import BEHAVIORS, Behavior, behavior, config_fault
+from .model import (DOCUMENT, PORT, Entry, PortSpec, UrlError, document_entry, parse_url,
+                    port_entry, valid_name)
+from .ports import BEHAVIORS, Behavior, admission_fault, behavior, optional_filter, positive
 from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError, content_b64,
                    entry_from_json, event_bytes, event_from_json, get_int, room_in)
 
@@ -44,12 +44,12 @@ FLAVORS = {
 }
 
 
-def flavor_filter(config: dict) -> FilterExpr:
+def flavor_filter(b: Behavior) -> FilterExpr:
     """What a replicating port carries: the events of its ``flavor``
     (documents by default), narrowed by its optional ``filter``."""
-    f = FLAVORS.get(config.get("flavor", "document"), FLAVORS["document"])
-    extra = config.get("filter")
-    return And(f, parse_filter(extra)) if extra else f
+    f = FLAVORS.get(b.ctx.config.get("flavor", "document"), FLAVORS["document"])
+    extra = b.setting("filter", None)
+    return f if extra is None else And(f, extra)
 
 
 def tagged_with_origin(ev: Event, node_url: str) -> Event:
@@ -76,7 +76,7 @@ def _post(ctx, conn, ev):
     means nothing was recorded; if the node refused the event, ``conn`` has
     been told why."""
     try:
-        return ctx.post(ev)
+        return ctx.node.post_event(ctx.name, ev)
     except Exception as e:
         _err(conn, getattr(e, "code", "rejected"), str(e))
         return None
@@ -84,7 +84,8 @@ def _post(ctx, conn, ev):
 
 def admit_push(ctx, conn, msg: dict) -> None:
     """Post a pushed Insert or Remove through the port, whose output filter
-    decides what gets in.  Only a refusal is answered."""
+    decides what gets in, once its entry is admitted.  Only a refusal is
+    answered."""
     try:
         ev = event_from_json(msg.get("event"))
     except WireError as e:
@@ -93,9 +94,9 @@ def admit_push(ctx, conn, msg: dict) -> None:
     if ev.kind not in (INSERT, REMOVE):
         _err(conn, "bad-kind", f"cannot push {ev.kind} events")
         return
-    fault = config_fault(ev.entry) if ev.entry is not None else None
+    fault = admission_fault(ev.entry) if ev.entry is not None else None
     if fault is not None:
-        _err(conn, "invalid-entry", fault[1])
+        _err(conn, fault[1], fault[2])
         return
     _post(ctx, conn, restamped(ev))
 
@@ -214,16 +215,9 @@ class AdminBehavior(Behavior):
         except WireError as e:
             _err(conn, e.code, str(e))
             return
-        problems = validate_entry(entry)
-        if problems:
-            _err(conn, "invalid-entry", "; ".join(problems))
-            return
-        if entry.kind == PORT and entry.payload.behavior not in BEHAVIORS:
-            _err(conn, "unknown-behavior", entry.payload.behavior)
-            return
-        fault = config_fault(entry)
+        fault = admission_fault(entry)
         if fault is not None:
-            _err(conn, "invalid-entry", fault[1])
+            _err(conn, fault[1], fault[2])
             return
         server = self.ctx.server
         faults = server.faults
@@ -302,22 +296,20 @@ class AdminBehavior(Behavior):
 @behavior("forwarder")
 class ForwarderBehavior(Behavior):
     resume_on_suspend = True
+    config_keys = {"filter": optional_filter}
 
     def __init__(self, ctx):
         super().__init__(ctx)
         self.conn = None
-        self.target = self.ctx.config.get("target")
-        self.target_node = None
-        if self.target:
-            try:
-                from .model import parse_url
-                self.target_node = parse_url(self.target).parent().text()
-            except Exception:
-                self.target_node = None
+        self.target = self.ctx.config.get("target", "")
+        try:
+            self.target_node = parse_url(self.target).parent().text()
+        except UrlError:
+            self.target_node = None
 
     def on_start(self) -> None:
         if self.target:
-            self.ctx.receive("default", flavor_filter(self.ctx.config))
+            self.ctx.receive("default", flavor_filter(self))
 
     def _ensure_conn(self):
         if self.conn is not None and not self.conn.closed:
@@ -367,7 +359,7 @@ BEHAVIORS["classifier"] = ForwarderBehavior
 @behavior("puller")
 class PullerBehavior(Behavior):
     resume_on_suspend = True
-    int_config = {"after": None, "max": None, "every": 1}
+    config_keys = {"after": int, "max": int, "every": positive, "filter": optional_filter}
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -375,11 +367,10 @@ class PullerBehavior(Behavior):
         self.label = self.ctx.config.get("label") or f"pull-{self.ctx.name}"
 
     def on_start(self) -> None:
-        config = self.ctx.config
-        self.cursor = int(config.get("after", "0"))
-        self.max_events = int(config.get("max", "256"))
-        self.filter_text = print_filter(flavor_filter(config))
-        self.ctx.schedule(self.label, every=int(config.get("every", "1")))
+        self.cursor = self.setting("after", 0)
+        self.max_events = self.setting("max", 256)
+        self.filter_text = print_filter(flavor_filter(self))
+        self.ctx.schedule(self.label, every=self.setting("every", 1))
         self.ctx.receive("default", And(_type_is(TIME),
                                         Cmp("event.label", "==", self.label)))
 
@@ -406,15 +397,15 @@ class PullerBehavior(Behavior):
                     ev = event_from_json(raw)
                 except WireError:
                     continue
-                if ev.kind not in (INSERT, REMOVE):
+                if ev.kind not in (INSERT, REMOVE) or ev.entry is None:
                     continue
-                if (ev.kind == INSERT and ev.entry is not None
-                        and ev.entry.meta.get("origin-node") == own):
+                if ev.kind == INSERT and ev.entry.meta.get("origin-node") == own:
                     continue  # our own document coming home
-                try:
+                fault = admission_fault(ev.entry)
+                if fault is not None:
+                    self.ctx.trace("rejected", "{} {}: {}", ev.kind, ev.entry.name, fault[2])
+                else:
                     self.ctx.post(restamped(ev))
-                except Exception:
-                    self.ctx.trace("rejected", f"{ev.kind} {ev.entry.name if ev.entry else ''}")
             if isinstance(msg.get("last"), int):
                 self.cursor = max(self.cursor, msg["last"])
             if not msg.get("at_end", True):
@@ -456,40 +447,35 @@ class RequestBehavior(Behavior):
                                         Cmp("entry.name", "==", self.wanted)))
 
     def _answer(self, entry) -> None:
-        if self.done:
+        if entry.kind != DOCUMENT:
+            self._done({"kind": ERROR, "code": "not-a-document",
+                        "message": f"{entry.name} is a {entry.kind}"})
             return
-        self.done = True
-        if self.conn is not None:
-            if entry.kind == DOCUMENT:
-                self.conn.send({"kind": ACK, "name": entry.name,
-                                "content_b64": content_b64(entry.payload),
-                                "media_type": entry.payload.media_type,
-                                "meta": dict(entry.meta)})
-            else:
-                _err(self.conn, "not-a-document", f"{entry.name} is a {entry.kind}")
-        self.ctx.self_remove()
+        self._done({"kind": ACK, "name": entry.name, "content_b64": content_b64(entry.payload),
+                    "media_type": entry.payload.media_type, "meta": dict(entry.meta)})
 
-    def _not_found(self) -> None:
+    def _done(self, reply: dict | None) -> None:
+        """Send ``reply``, if any, once and when there is a connection, and
+        retire."""
         if self.done:
             return
         self.done = True
-        if self.conn is not None:
-            _err(self.conn, "not-found", f"no document {self.wanted!r}")
+        if reply is not None and self.conn is not None:
+            self.conn.send(reply)
         self.ctx.self_remove()
 
     def on_event(self, ev, subscription: str) -> bool:
         if ev.kind == INSERT and ev.entry is not None and ev.entry.name == self.wanted:
             self._answer(self.ctx.node.entries.get(self.wanted) or ev.entry)
         elif ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self._not_found()
+            self._done({"kind": ERROR, "code": "not-found",
+                        "message": f"no document {self.wanted!r}"})
         return False
 
     def on_external(self, conn, msg: dict) -> None:
         kind = msg.get("kind")
         if kind == BYE:
-            if not self.done:
-                self.done = True
-                self.ctx.self_remove()
+            self._done(None)
         elif kind not in (HELLO, ACK, ERROR):
             _err(conn, "bad-kind", "this connection only carries the answer")
 
@@ -520,10 +506,6 @@ class QueryBehavior(Behavior):
         self.sent: set[str] = set()
         self.finished = False
 
-    def _query_text(self) -> str:
-        entry = self.ctx.entry
-        return entry.meta.get("query", "") if entry is not None else ""
-
     def on_start(self) -> None:
         if self.mode == "local":
             self._run_local()
@@ -534,8 +516,9 @@ class QueryBehavior(Behavior):
                                          And(_kind_is(PORT), mine)))
 
     def _run_local(self) -> None:
+        entry = self.ctx.entry
         try:
-            f = parse_filter(self._query_text())
+            f = parse_filter(entry.meta.get("query", "") if entry is not None else "")
         except FilterError as e:
             if self.conn is not None:
                 _err(self.conn, e.code, str(e))
@@ -566,17 +549,19 @@ class QueryBehavior(Behavior):
             self.conn.send({"kind": ACK, "done": True, "count": self.count})
         self.ctx.self_remove()
 
-    def _results(self) -> list[str]:
-        """Names of the result documents posted for this query, sorted."""
+    def _results(self):
+        """Names of the result documents posted for this query and not yet
+        streamed out, in no order."""
         node = self.ctx.node
-        return sorted(name for name in node.entries_with("meta.reply-to", self.ctx.name)
-                      if node.entries[name].kind == DOCUMENT)
+        return (name for name in node.entries_with("meta.reply-to", self.ctx.name)
+                if node.entries[name].kind == DOCUMENT)
 
     def _maybe_finish(self) -> None:
         # done only when every wrapper retired AND every result it posted
-        # has been streamed out; the two arrive on separate subscriptions
-        # in no guaranteed relative order
-        if self.seen_wrapper and not self.live_wrappers and not self._results():
+        # has been streamed out, which come on separate subscriptions in no
+        # set order; one result still pending is enough to keep waiting
+        if (self.seen_wrapper and not self.live_wrappers
+                and next(self._results(), None) is None):
             self._finish()
 
     def on_event(self, ev, subscription: str) -> bool:
@@ -620,7 +605,7 @@ class QueryBehavior(Behavior):
             if entry is not None:
                 self.ctx.post_as_node(remove_event(entry))
         self.live_wrappers.clear()
-        for name in self._results():
+        for name in sorted(self._results()):
             entry = node.entries.get(name)
             if (entry is not None and entry.kind == DOCUMENT
                     and entry.meta.get("reply-to") == self.ctx.name):
@@ -660,11 +645,7 @@ class TranslatorBehavior(Behavior):
         wrapper = f"wrap-{self.ctx.name}-{ev.entry.name}"
         spec = PortSpec("wrapper", {"source": source, "query": query,
                                     "reply_to": ev.entry.name})
-        try:
-            self.ctx.post(insert_event(port_entry(
-                wrapper, spec, meta={"reply-to": ev.entry.name})))
-        except Exception:
-            self.ctx.trace("rejected", f"wrapper for {ev.entry.name}")
+        self.ctx.post(insert_event(port_entry(wrapper, spec, meta={"reply-to": ev.entry.name})))
         return False
 
 
@@ -699,10 +680,7 @@ class WrapperBehavior(Behavior):
                          "source": self.source, "source-name": entry.name})
             doc = document_entry(f"{self.ctx.name}-r{i}", entry.payload.content,
                                  entry.payload.media_type, meta=meta)
-            try:
-                self.ctx.post(insert_event(doc))
-            except Exception:
-                self.ctx.trace("rejected", doc.name)
+            self.ctx.post(insert_event(doc))
         self.ctx.self_remove()
 
     def on_stop(self, reason: str) -> None:
@@ -772,6 +750,7 @@ class SubscriberManagerBehavior(Behavior):
     ``submit`` is a channel endpoint that only lets document events in."""
 
     resume_on_suspend = True
+    config_keys = {"topic_filter": optional_filter}
 
     def on_start(self) -> None:
         if self.ctx.config.get("role", "manage") == "manage":
@@ -793,9 +772,8 @@ class SubscriberManagerBehavior(Behavior):
             digest = self.ctx.config.get("digest", "")
             if digest:
                 config["digest"] = digest
-            topic = self.ctx.config.get("topic_filter", "")
             spec = PortSpec("subscriber", config,
-                            input_filter=parse_filter(topic) if topic else parse_filter("true"),
+                            input_filter=self.setting("topic_filter", None) or TRUE,
                             # membership starts now, not at the backlog
                             cursor=self.ctx.node.history.last_seq + 1)
             if name not in self.ctx.node.entries:
@@ -827,7 +805,7 @@ class GcBehavior(Behavior):
     """Removes documents that have outlived ``max_age`` clock units."""
 
     resume_on_suspend = True
-    int_config = {"every": 1, "max_age": None}
+    config_keys = {"every": positive, "max_age": int}
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -835,8 +813,7 @@ class GcBehavior(Behavior):
         self.label = f"gc-{self.ctx.name}"
 
     def on_start(self) -> None:
-        every = int(self.ctx.config.get("every", "10"))
-        self.ctx.schedule(self.label, every=every)
+        self.ctx.schedule(self.label, every=self.setting("every", 10))
         self.ctx.receive("watch", And(_type_is(INSERT), _kind_is(DOCUMENT)))
         self.ctx.receive("ticks", And(_type_is(TIME),
                                       Cmp("event.label", "==", self.label)))
@@ -845,7 +822,7 @@ class GcBehavior(Behavior):
         if subscription == "watch" and ev.kind == INSERT and ev.entry is not None:
             self.ages[ev.entry.name] = ev.created_at
         elif subscription == "ticks" and ev.kind == TIME:
-            max_age = int(self.ctx.config.get("max_age", "100"))
+            max_age = self.setting("max_age", 100)
             now = self.ctx.now()
             for name in sorted(self.ages):
                 if now - self.ages[name] >= max_age:

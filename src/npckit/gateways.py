@@ -67,7 +67,11 @@ class LoopbackConn(Conn):
         if self.closed or self._peer is None or self._peer.closed:
             return False
         frame, whole = _frame(msg)
-        self._put(self._peer, wire.decode_body(frame[4:]))
+        try:
+            self._put(self._peer, wire.decode_body(frame[4:]))
+        except WireError:  # as over a socket, a frame that does not decode ends the channel
+            self.close()
+            return False
         return whole
 
     def close(self) -> None:

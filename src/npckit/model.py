@@ -13,7 +13,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .filters import FilterExpr, TRUE, parse_filter
+from .filters import FilterExpr, TRUE
+from .filters import parse_filter  # noqa: F401  (wrapped by name in bench/spans.py)
 
 NAME_RE = re.compile(r"[A-Za-z0-9._-]{1,128}")
 
@@ -140,39 +141,3 @@ def node_entry(name: str, meta: Mapping[str, str] | None = None) -> Entry:
 def port_entry(name: str, spec: PortSpec, meta: Mapping[str, str] | None = None) -> Entry:
     return Entry(name, meta or {}, PORT, spec)
 
-
-def validate_entry(entry: Entry) -> list[str]:
-    """Collect violations of the reserved metadata keys; an empty list
-    means ``entry`` may be posted.  The rest of its shape was checked where
-    it was parsed, by ``wire.entry_from_json``.
-
-    Reserved keys have kit-defined meaning; other metadata values are
-    free-form strings.  Checked here: origin-node tags replicas with the
-    URL of the node a copy came from, priority orders candidates for
-    exclusive consumption, reply-to routes result entries back to the port
-    that asked for them, and input-filter and output-filter hold filter
-    text.  Not checked: query carries filter text on query ports, firewall
-    holds per-port rule text, exclusive marks entries whose events are
-    consumed by a single port.
-    """
-    problems: list[str] = []
-    origin = entry.meta.get("origin-node")
-    if origin is not None:
-        try:
-            parse_url(origin)
-        except UrlError:
-            problems.append(f"origin-node is not a url: {origin!r}")
-    prio = entry.meta.get("priority")
-    if prio is not None and not re.fullmatch(r"-?[0-9]+", prio):
-        problems.append(f"priority is not an integer: {prio!r}")
-    reply_to = entry.meta.get("reply-to")
-    if reply_to is not None and not valid_name(reply_to):
-        problems.append(f"reply-to is not an entry name: {reply_to!r}")
-    for key in ("input-filter", "output-filter"):
-        text = entry.meta.get(key)
-        if text is not None:
-            try:
-                parse_filter(text)
-            except Exception:
-                problems.append(f"{key} does not parse: {text!r}")
-    return problems

@@ -177,7 +177,8 @@ class Node:
         Entry and Time events from ports must pass the port's output filter.
         Subscription control events bypass it: they only affect the posting
         port's own delivery and a port with data-only filters could never
-        subscribe otherwise.
+        subscribe otherwise.  A port never inserts or removes its own entry,
+        so nothing arriving on its connections can replace or retire it.
         """
         if ev.seq != 0:
             raise NodeError("already-stamped", f"seq {ev.seq}")
@@ -197,6 +198,8 @@ class Node:
             spec = self.port_spec(from_port)
             if not eval_filter(spec.output_filter, ev):
                 raise NodeError("rejected-filter", f"{ev.kind} from {from_port}")
+            if entry is not None and entry.name == from_port:
+                raise NodeError("not-allowed", f"port {from_port!r} cannot {ev.kind} itself")
 
         # each kind of event has its handler, _post_<kind>
         stamped = getattr(self, "_post_" + ev.kind.lower())(from_port, ev)

@@ -1,4 +1,5 @@
-"""Port runtime: the context handed to behaviors and the behavior registry.
+"""Port runtime: the context handed to behaviors, the behavior registry,
+and the one admission rule for entries that come in from outside.
 
 A behavior is the code of a port.  It talks to its node through a
 PortContext and never touches other ports or nodes directly; anything
@@ -14,9 +15,13 @@ stop the server.
 
 from __future__ import annotations
 
-from .filters import FilterExpr
+from functools import lru_cache
+from typing import Callable
+
+from .filters import FilterError, FilterExpr, parse_filter
 from .history import NODE_ORIGIN, receive_event, remove_event, resume_event
-from .model import PORT, EntryUrl
+from .model import PORT, EntryUrl, parse_url, valid_name
+from .node import NodeError, TimerSpec
 
 
 class PortContext:
@@ -53,7 +58,14 @@ class PortContext:
     # -- posting to the node ---------------------------------------------------
 
     def post(self, ev):
-        return self.node.post_event(self.name, ev)
+        """Post ``ev`` through this port; the stamped event, or None when
+        nothing was recorded.  A refusal (say, by the port's own output
+        filter) is traced as ``rejected``, not raised."""
+        try:
+            return self.node.post_event(self.name, ev)
+        except NodeError as e:
+            self.trace("rejected", "{} {}: {}", ev.kind, ev.entry.name if ev.entry else "", e)
+            return None
 
     def receive(self, subscription: str = "default", filt: FilterExpr | None = None):
         return self.post(receive_event(subscription, filt))
@@ -74,7 +86,6 @@ class PortContext:
         return self.node.post_event(NODE_ORIGIN, ev)
 
     def schedule(self, label: str, every: int | None = None, at: int | None = None) -> None:
-        from .node import TimerSpec
         self.node.schedule(TimerSpec(label, every=every, at=at, port=self.name), now=self.now())
 
     def defer(self, method: str) -> None:
@@ -115,13 +126,18 @@ class Behavior:
     # it, so a long-lived consumer keeps receiving.
     resume_on_suspend = False
 
-    # The config keys the behavior reads as integers, each with the least
-    # value it can run with (None: any).  A port entry whose config breaks
-    # one is refused before it is posted (see ``config_fault``).
-    int_config: dict[str, int | None] = {}
+    # The config keys the behavior reads, each with the parser it reads the
+    # key's text with (see ``setting``).  A port entry whose config one of
+    # them cannot read is refused before it is posted (``admission_fault``).
+    config_keys: dict[str, Callable[[str], object]] = {}
 
     def __init__(self, ctx: PortContext):
         self.ctx = ctx
+
+    def setting(self, key: str, default):
+        """Config ``key`` as ``config_keys`` parses it, or ``default``."""
+        text = self.ctx.config.get(key)
+        return default if text is None else self.config_keys[key](text)
 
     def on_start(self) -> None:
         pass
@@ -141,22 +157,57 @@ class Behavior:
 BEHAVIORS: dict[str, type] = {}
 
 
-def config_fault(entry) -> tuple[str, str] | None:
-    """For a port entry, the first integer config key its behavior could
-    not run with, and why; None when there is none, or for another entry."""
-    if entry.kind != PORT:
-        return None
-    spec = entry.payload
-    for key, low in getattr(BEHAVIORS.get(spec.behavior), "int_config", {}).items():
-        text = spec.config.get(key)
-        if text is None:
-            continue
+def positive(text: str) -> int:
+    """Parser of a period config value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError("below 1")
+    return value
+
+
+def optional_filter(text: str) -> FilterExpr | None:
+    """Parser of a filter-valued config key; empty text is no filter."""
+    return parse_filter(text) if text else None
+
+
+def _entry_name(text: str) -> str:
+    if not valid_name(text):
+        raise ValueError("not an entry name")
+    return text
+
+
+# the metadata keys with a kit-defined meaning, each with its parser; not
+# here: query and firewall (read by the ports using them), exclusive (any text)
+RESERVED_META: dict[str, Callable[[str], object]] = {
+    # the URL of the node a replica came from; a node's replicas all name it
+    "origin-node": lru_cache(maxsize=1024)(parse_url),
+    "priority": int,  # orders candidates for exclusive consumption
+    "reply-to": _entry_name,  # the port a result entry is for
+    "input-filter": parse_filter,
+    "output-filter": parse_filter,
+}
+
+
+def admission_fault(entry) -> tuple[str, str, str] | None:
+    """The first rule ``entry`` breaks, as (field, code, message), or None:
+    each reserved metadata key parses, a port's behavior is registered,
+    and each config key its behavior declares parses.  Every path into a
+    node (a command, a push, a pull, a config file) asks this, and only
+    this; ``wire.entry_from_json`` checked the rest of the shape."""
+    fields = [("meta." + key, RESERVED_META[key], text)
+              for key, text in entry.meta.items() if key in RESERVED_META]
+    if entry.kind == PORT:
+        spec = entry.payload
+        cls = BEHAVIORS.get(spec.behavior)
+        if cls is None:
+            return "behavior", "unknown-behavior", f"unknown behavior {spec.behavior!r}"
+        fields += [("config." + key, parse, spec.config[key])
+                   for key, parse in cls.config_keys.items() if key in spec.config]
+    for field, parse, text in fields:
         try:
-            value = int(text)
-        except (TypeError, ValueError):
-            return key, f"config {key} is not an integer: {text!r}"
-        if low is not None and value < low:
-            return key, f"config {key} is below {low}: {text!r}"
+            parse(text)
+        except (ValueError, FilterError) as e:
+            return field, "invalid-entry", f"{field} does not parse: {text!r} ({e})"
     return None
 
 

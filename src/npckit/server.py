@@ -22,9 +22,9 @@ from .firewall import IN, OUT, FirewallError, check, parse_rules
 from .gateways import MailStub, RepoStub, TcpConn, TcpListener, Waker, dial_tcp
 from .history import NODE_ORIGIN, SUSPEND, insert_event
 from .httpd import HttpConn
-from .model import DOCUMENT, Entry, EntryUrl, NODE, PORT, UrlError, parse_url, valid_name
+from .model import DOCUMENT, Entry, EntryUrl, NODE, UrlError, parse_url, valid_name
 from .node import Node, ReadyRing
-from .ports import BEHAVIORS, PortContext, config_fault
+from .ports import BEHAVIORS, PortContext, admission_fault
 from .wire import BYE, ERROR, HELLO, WireError, entry_from_json, get_int
 from . import behaviors as _stock_behaviors  # noqa: F401  (fills BEHAVIORS)
 
@@ -92,19 +92,17 @@ def parse_entry_def(d: dict, path: str):
     ``wire.entry_from_json``, with three conveniences: ``kind`` defaults to
     ``document``; a document may give UTF-8 ``content_text`` in place of
     ``content_b64``, and its media type defaults to ``text/plain``; and a
-    node lists its children's definitions under ``entries``."""
+    node lists its children's definitions under ``entries``.  Then the
+    entry is admitted as on every path in, by ``ports.admission_fault``."""
     try:
         entry = entry_from_json(d, kind=DOCUMENT, media_type="text/plain",
                                 text_field="content_text")
     except WireError as e:
         raise _config_error(path, e) from None
-    if entry.kind == PORT:
-        b = entry.payload.behavior
-        _require(b in BEHAVIORS, f"{path}.behavior", f"unknown behavior {b!r}")
-        fault = config_fault(entry)
-        if fault is not None:
-            raise ConfigError(f"{path}.config.{fault[0]}", fault[1])
-    elif entry.kind == NODE:
+    fault = admission_fault(entry)
+    if fault is not None:
+        raise ConfigError(f"{path}.{fault[0]}", fault[2])
+    if entry.kind == NODE:
         children = d.get("entries", [])
         _require(isinstance(children, list), f"{path}.entries", "must be a list")
         return entry, [parse_entry_def(e, f"{path}.entries[{i}]")

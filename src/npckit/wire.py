@@ -148,7 +148,8 @@ def decode_body(data: bytes) -> dict:
             end = -1
         if end != len(text):  # space around it, trailing data, or no value: the full rules
             body = _decoder.decode(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nested deeper than the decoder's C core recurses
         raise WireError("malformed", str(e))
     if type(body) is not dict:
         raise WireError("malformed", "frame body is not an object")
@@ -339,7 +340,7 @@ def event_from_json(d: dict) -> Event:
     if not isinstance(d, dict):
         raise WireError("malformed", "event is not an object")
     kind = d.get("kind")
-    if kind not in KINDS:
+    if type(kind) is not str or kind not in KINDS:  # a list or an object is no kind
         raise WireError("malformed", f"unknown event kind {kind!r}")
     entry = None
     if "entry" in d:

@@ -22,7 +22,7 @@ from npckit.gateways import TcpConn
 from npckit.history import NODE_ORIGIN, insert_event
 from npckit.model import PortSpec, port_entry
 from npckit.server import Server, ServerConfig
-from npckit.sim import run_scenario
+from npckit.sim import SimRun, run_scenario
 from npckit.wire import MAX_BODY, bye_frame, encode_frame, read_frame
 
 CONFIG = {"host": "127.0.0.1", "npc_tcp_port": 0,
@@ -204,6 +204,37 @@ def test_an_announced_oversize_body_closes_only_its_connection(server):
         assert read_frame(bad.recv) is None  # end of stream
         good.sendall(LIST)
         assert read_frame(good.recv)["kind"] == "ack"
+
+
+DEEP_BODY = b"[" * 100000  # nested deeper than the JSON decoder recurses
+
+
+def test_a_frame_nested_too_deep_ends_only_its_connection_over_tcp(server):
+    faults = server.faults
+    with raw(server) as bad, raw(server) as good:
+        bad.sendall(hello(server))
+        assert read_frame(bad.recv)["kind"] == "hello"
+        bad.sendall(struct.pack(">I", len(DEEP_BODY)) + DEEP_BODY)
+        assert read_frame(bad.recv) is None  # end of stream
+        good.sendall(hello(server) + LIST)
+        assert read_frame(good.recv)["kind"] == "hello"
+        assert read_frame(good.recv)["kind"] == "ack"
+    assert server.faults == faults
+
+
+def test_a_frame_nested_too_deep_ends_only_its_connection_over_loopback(monkeypatch):
+    run = SimRun()
+    run.add_server(dict(CONFIG, host="a", npc_tcp_port=7070))
+    run.connect("bad", "npc://a:7070/root/admin")
+    run.connect("good", "npc://a:7070/root/admin")
+    encode = gateways.encode_frame
+    monkeypatch.setattr(gateways, "encode_frame", lambda msg: (
+        struct.pack(">I", len(DEEP_BODY)) + DEEP_BODY if msg["kind"] == "deep" else encode(msg)))
+    run.send("bad", {"kind": "deep"})
+    assert run.conns["bad"].closed
+    run.send("good", {"kind": "cmd", "op": "list"})
+    assert run.take_replies("good")[-1]["kind"] == "ack"
+    assert run.server("a").faults == 0
 
 
 def test_a_stalled_partial_header_does_not_delay_another_client(server):

@@ -1,4 +1,4 @@
-"""Entry names, URLs, and entry validation."""
+"""Entry names, URLs, and entry values; admission is in test_admission."""
 
 from dataclasses import FrozenInstanceError, replace
 
@@ -6,7 +6,7 @@ import pytest
 
 from npckit.model import (Document, EntryUrl, NodeRef, PortSpec, UrlError,
                           document_entry, node_entry, parse_url, port_entry,
-                          valid_name, validate_entry)
+                          valid_name)
 
 
 def test_valid_names():
@@ -58,23 +58,6 @@ def test_entry_helpers_pair_kind_and_payload():
     assert n.kind == "node" and isinstance(n.payload, NodeRef)
     p = port_entry("p", PortSpec("manual"))
     assert p.kind == "port" and p.payload.behavior == "manual"
-    assert validate_entry(d) == []
-    assert validate_entry(n) == []
-    assert validate_entry(p) == []
-
-
-def test_validate_entry_reserved_meta_shapes():
-    good = document_entry("d", b"", meta={
-        "origin-node": "npc://other.example:7070/root",
-        "priority": "-3",
-        "reply-to": "query1",
-        "input-filter": 'event.type == "Insert"',
-    })
-    assert validate_entry(good) == []
-    assert validate_entry(document_entry("d", b"", meta={"origin-node": "nope"}))
-    assert validate_entry(document_entry("d", b"", meta={"priority": "high"}))
-    assert validate_entry(document_entry("d", b"", meta={"reply-to": "a/b"}))
-    assert validate_entry(document_entry("d", b"", meta={"output-filter": "not ("}))
 
 
 def test_an_entry_is_immutable_and_owns_its_metadata():

@@ -67,12 +67,13 @@ def test_faulting_event_hook_retires_the_port_and_the_server_answers_on():
     assert listed(run.take_replies("c")) == ["admin"]
 
 
-def test_failed_spawn_answers_an_error_and_leaves_no_port():
+def test_failed_spawn_answers_an_error_and_leaves_no_port(monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "faulty", Faulty)
     run = admin_run()
     server = run.server("a")
     start = len(run.tracer.rows)
-    # a filter that does not parse is read, and raises, in on_start
-    run.send("c", insert_port("p1", "puller", {"filter": "not ("}))
+    # the port passes every admission rule, and then raises in on_start
+    run.send("c", insert_port("p1", "faulty", {"fail": "on_start"}))
     reply = run.take_replies("c")[0]
     assert reply["kind"] == "error" and reply["code"] == "behavior-failed", reply
     assert "p1" not in server.root.entries
@@ -281,39 +282,6 @@ def test_a_malformed_field_is_refused_and_the_admin_port_answers_on(msg):
     run.send("c", LIST)
     assert listed(run.take_replies("c")) == ["admin", "welcome"]
     assert server.root.history.last_seq == last
-
-
-@pytest.mark.parametrize("path", ["cmd", "push"])
-@pytest.mark.parametrize("behavior, config", [
-    ("gc", {"every": "abc"}),
-    ("gc", {"every": "-1"}),
-    ("gc", {"every": "5", "max_age": "old"}),
-    ("puller", {"source": "npc://web:7070/root/admin", "every": "0"}),
-    ("puller", {"source": "npc://web:7070/root/admin", "after": "first"}),
-], ids=["gc-every-text", "gc-every-negative", "gc-max-age-text", "puller-every-zero",
-        "puller-after-text"])
-def test_a_port_whose_integer_config_cannot_be_read_is_refused_and_nothing_changes(
-        path, behavior, config):
-    """Such a port would fault when it starts, after replacing the entry of
-    the same name: the error reply comes first, and nothing changed."""
-    run = SimRun()
-    run.add_server(build_preset("doc-server")[0])
-    run.quiesce()
-    run.connect("c", "npc://web:7070/root/admin")
-    run.take_replies("c")
-    server = run.server("web")
-    table = dict(server.root.entries)
-    last = server.root.history.last_seq
-    entry = entry_to_json(port_entry("welcome", PortSpec(behavior, config)))
-    if path == "cmd":
-        run.send("c", {"kind": "cmd", "op": "insert", "entry": entry})
-    else:
-        run.send("c", {"kind": "event", "event": {"kind": "Insert", "entry": entry}})
-    reply, = run.take_replies("c")
-    assert reply["kind"] == "error" and reply["code"] == "invalid-entry", reply
-    assert server.root.entries == table
-    assert server.root.history.last_seq == last
-    assert server.faults == 0
 
 
 DEEP_FILTERS = {"parentheses": "(" * 3000 + "true" + ")" * 3000,

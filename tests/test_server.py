@@ -154,20 +154,6 @@ def test_config_values_follow_the_wire_rules(config, where):
     assert e.value.path == where
 
 
-@pytest.mark.parametrize("behavior, config, key", [
-    ("gc", {"every": "abc"}, "every"),
-    ("gc", {"every": "0"}, "every"),
-    ("gc", {"max_age": "1.5"}, "max_age"),
-    ("puller", {"source": "npc://b:7070/root/admin", "after": "x"}, "after"),
-    ("puller", {"source": "npc://b:7070/root/admin", "max": ""}, "max"),
-])
-def test_config_rejects_an_integer_port_config_key_its_behavior_cannot_read(behavior, config, key):
-    with pytest.raises(ConfigError) as e:
-        ServerConfig.from_dict({"host": "a", "root": {"entries": [
-            {"name": "p", "kind": "port", "behavior": behavior, "config": config}]}})
-    assert e.value.path == f"config.root.entries[0].config.{key}"
-
-
 def test_config_still_loads_with_the_retired_indexed_key():
     # delivery has one path now; older configs may still carry the key
     for value in (True, False):
@@ -829,3 +815,38 @@ def test_fetch_hands_the_connection_over_to_the_request_port():
     assert [r["kind"] for r in client.take()] == ["error", "bye"]
     assert key not in s.behaviors and request.ctx.conns == {} and theirs.closed
     assert admin.ctx.conns == {}
+
+
+def names_listed_per_result(monkeypatch, k: int) -> int:
+    """One ``query: "true"`` on the mediator preset with k more documents
+    in the archive: the result names ``Node.entries_with`` hands out, per
+    result the query port streams, to the nearest whole name (the last
+    few lookups find nothing pending)."""
+    from npckit.apps import build_preset
+    from npckit.node import Node
+    from npckit.sim import SimRun
+    run = SimRun()
+    run.add_server(build_preset("mediator")[0])
+    for i in range(k):
+        run.server("hub").stubs["archive"].add(document_entry(f"doc{i}", b"x"))
+    run.quiesce()
+    listed = 0
+    entries_with = Node.entries_with
+
+    def counting(self, field, value):
+        nonlocal listed
+        for name in entries_with(self, field, value):
+            listed += 1
+            yield name
+    monkeypatch.setattr(Node, "entries_with", counting)
+    run.connect("c", "npc://hub:7070/root/admin")
+    run.send("c", {"kind": "cmd", "op": "query", "query": "true"})
+    done, bye = run.take_replies("c")[-2:]
+    assert done["kind"] == "ack" and done["count"] == k + 4, done
+    return round(listed / done["count"])
+
+
+def test_a_mediated_query_lists_no_more_names_per_result_as_results_grow(monkeypatch):
+    """Whether a result is still pending is answered without listing them
+    all, so a query of k results costs k, not k squared."""
+    assert names_listed_per_result(monkeypatch, 100) == names_listed_per_result(monkeypatch, 400)

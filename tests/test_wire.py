@@ -81,6 +81,19 @@ def test_decode_rejects_bad_version_and_malformed():
     assert exc.value.code == "malformed"
 
 
+DEEP = 100000
+
+
+@pytest.mark.parametrize("data", [
+    b"[" * DEEP,
+    b'{"v":1,"kind":"bye","x":' + b"[" * DEEP + b"]" * DEEP + b"}",
+], ids=["open", "closed"])
+def test_a_body_nested_deeper_than_the_decoder_recurses_is_malformed(data):
+    with pytest.raises(WireError) as exc:
+        decode_body(data)
+    assert exc.value.code == "malformed"
+
+
 @pytest.mark.parametrize("data, code", [
     (b'{"v":1,"kind":"bye"} x', "malformed"),
     (b'{"v":1,"kind":"bye"}{}', "malformed"),
