@@ -61,12 +61,6 @@ def tagged_with_origin(ev: Event, node_url: str) -> Event:
     return ev._replace(entry=Entry(e.name, {**e.meta, "origin-node": node_url}, e.kind, e.payload))
 
 
-def restamped(ev: Event) -> Event:
-    """Incoming channel events carry the sender's stamps; the local node
-    assigns its own."""
-    return ev._replace(seq=0, created_at=0)
-
-
 def _err(conn, code: str, message: str = "") -> None:
     conn.send({"kind": ERROR, "code": code, "message": message})
 
@@ -82,23 +76,32 @@ def _post(ctx, conn, ev):
         return None
 
 
+def replica(raw) -> tuple[Event | None, tuple[str, str] | None]:
+    """A pushed or pulled event ``raw`` as a node takes it in, and the
+    refusal, if any, as (code, message).  Only an Insert or Remove is taken,
+    without the sender's stamps (the node assigns its own), and only once
+    its entry is admitted.  The event is None when ``raw`` holds no Insert
+    or Remove; one whose entry is refused comes with the refusal."""
+    try:
+        ev = event_from_json(raw)
+    except WireError as e:
+        return None, (e.code, str(e))
+    if ev.kind not in (INSERT, REMOVE):
+        return None, ("bad-kind", f"cannot push {ev.kind} events")
+    ev = ev._replace(seq=0, created_at=0)
+    fault = admission_fault(ev.entry) if ev.entry is not None else None
+    return ev, (None if fault is None else fault[1:])
+
+
 def admit_push(ctx, conn, msg: dict) -> None:
     """Post a pushed Insert or Remove through the port, whose output filter
     decides what gets in, once its entry is admitted.  Only a refusal is
     answered."""
-    try:
-        ev = event_from_json(msg.get("event"))
-    except WireError as e:
-        _err(conn, e.code, str(e))
-        return
-    if ev.kind not in (INSERT, REMOVE):
-        _err(conn, "bad-kind", f"cannot push {ev.kind} events")
-        return
-    fault = admission_fault(ev.entry) if ev.entry is not None else None
-    if fault is not None:
-        _err(conn, fault[1], fault[2])
-        return
-    _post(ctx, conn, restamped(ev))
+    ev, refusal = replica(msg.get("event"))
+    if refusal is not None:
+        _err(conn, *refusal)
+    else:
+        _post(ctx, conn, ev)
 
 
 def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
@@ -253,7 +256,7 @@ class AdminBehavior(Behavior):
     def _op_fetch(self, conn, msg: dict) -> None:
         """Spawn a request port for the document and hand it this
         connection: it answers, retires, and closes the connection."""
-        name = self.ctx.server.next_name("req")
+        name = self.ctx.server.next_name("req", self.ctx.node)
         self._hand_over(conn, port_entry(name, request_spec(self.ctx.node,
                                                             msg.get("name", ""))))
 
@@ -267,7 +270,7 @@ class AdminBehavior(Behavior):
         mode = self.ctx.config.get("query_mode", "local")
         name = msg.get("name")
         if name in (None, ""):
-            name = self.ctx.server.next_name("query")
+            name = self.ctx.server.next_name("query", self.ctx.node)
         elif not valid_name(name):
             _err(conn, "malformed", "name must be an entry name")
             return
@@ -364,7 +367,7 @@ class PullerBehavior(Behavior):
     def __init__(self, ctx):
         super().__init__(ctx)
         self.conn = None
-        self.label = self.ctx.config.get("label") or f"pull-{self.ctx.name}"
+        self.label = f"pull-{self.ctx.name}"
 
     def on_start(self) -> None:
         self.cursor = self.setting("after", 0)
@@ -381,7 +384,7 @@ class PullerBehavior(Behavior):
 
     def _pull(self) -> None:
         if self.conn is None or self.conn.closed:
-            self.conn = self.ctx.dial(self.ctx.config["source"])
+            self.conn = self.ctx.dial(self.ctx.config.get("source", ""))
         if self.conn is None:
             self.ctx.trace("drop", "source unreachable")
             return
@@ -393,19 +396,15 @@ class PullerBehavior(Behavior):
         if kind == ACK and "events" in msg:
             own = self.ctx.node_url().text()
             for raw in msg["events"]:
-                try:
-                    ev = event_from_json(raw)
-                except WireError:
-                    continue
-                if ev.kind not in (INSERT, REMOVE) or ev.entry is None:
+                ev, refusal = replica(raw)
+                if ev is None or ev.entry is None:
                     continue
                 if ev.kind == INSERT and ev.entry.meta.get("origin-node") == own:
                     continue  # our own document coming home
-                fault = admission_fault(ev.entry)
-                if fault is not None:
-                    self.ctx.trace("rejected", "{} {}: {}", ev.kind, ev.entry.name, fault[2])
+                if refusal is not None:
+                    self.ctx.trace("rejected", "{} {}: {}", ev.kind, ev.entry.name, refusal[1])
                 else:
-                    self.ctx.post(restamped(ev))
+                    self.ctx.post(ev)
             if isinstance(msg.get("last"), int):
                 self.cursor = max(self.cursor, msg["last"])
             if not msg.get("at_end", True):
@@ -413,6 +412,38 @@ class PullerBehavior(Behavior):
 
 
 # ---------------------------------------------------------------------------
+# answering ports: spawned for one caller, they answer once and retire
+
+class Answering(Behavior):
+    """A port that answers the connection attached at spawn: it sends one
+    final reply, at most once, and retires.  The caller's frames carry
+    nothing it reads; a bye retires the port with no reply."""
+
+    unexpected = ""  # the bad-kind message for a frame the caller should not send
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.conn = self.ctx.attachment.get("conn")
+        self.finished = False
+
+    def answer(self, reply: dict) -> None:
+        """Send ``reply``, unless an answer went already or there is no
+        connection, and retire."""
+        if self.finished:
+            return
+        self.finished = True
+        if self.conn is not None:
+            self.conn.send(reply)
+        self.ctx.self_remove()
+
+    def on_external(self, conn, msg: dict) -> None:
+        kind = msg.get("kind")
+        if kind == BYE:
+            self.ctx.self_remove()
+        elif kind not in (HELLO, ACK, ERROR):
+            _err(conn, "bad-kind", self.unexpected)
+
+
 # request: fetch one document and answer whoever asked
 
 def request_spec(node, wanted: str) -> PortSpec:
@@ -424,7 +455,7 @@ def request_spec(node, wanted: str) -> PortSpec:
 
 
 @behavior("request")
-class RequestBehavior(Behavior):
+class RequestBehavior(Answering):
     """Retrieves a named document for the connection attached at spawn.
 
     Answers immediately when the document is present; otherwise the
@@ -432,59 +463,42 @@ class RequestBehavior(Behavior):
     Suspend means the document does not exist.  Either way the port
     removes itself afterwards."""
 
+    unexpected = "this connection only carries the answer"
+
     def __init__(self, ctx):
         super().__init__(ctx)
         self.wanted = self.ctx.config.get("entry", "")
-        self.conn = self.ctx.attachment.get("conn")
-        self.done = False
 
     def on_start(self) -> None:
         entry = self.ctx.node.entries.get(self.wanted)
         if entry is not None:
-            self._answer(entry)
+            self._answer_with(entry)
             return
         self.ctx.receive("default", And(_type_is(INSERT),
                                         Cmp("entry.name", "==", self.wanted)))
 
-    def _answer(self, entry) -> None:
+    def _answer_with(self, entry) -> None:
         if entry.kind != DOCUMENT:
-            self._done({"kind": ERROR, "code": "not-a-document",
-                        "message": f"{entry.name} is a {entry.kind}"})
+            self.answer({"kind": ERROR, "code": "not-a-document",
+                         "message": f"{entry.name} is a {entry.kind}"})
             return
-        self._done({"kind": ACK, "name": entry.name, "content_b64": content_b64(entry.payload),
-                    "media_type": entry.payload.media_type, "meta": dict(entry.meta)})
-
-    def _done(self, reply: dict | None) -> None:
-        """Send ``reply``, if any, once and when there is a connection, and
-        retire."""
-        if self.done:
-            return
-        self.done = True
-        if reply is not None and self.conn is not None:
-            self.conn.send(reply)
-        self.ctx.self_remove()
+        self.answer({"kind": ACK, "name": entry.name, "content_b64": content_b64(entry.payload),
+                     "media_type": entry.payload.media_type, "meta": dict(entry.meta)})
 
     def on_event(self, ev, subscription: str) -> bool:
         if ev.kind == INSERT and ev.entry is not None and ev.entry.name == self.wanted:
-            self._answer(self.ctx.node.entries.get(self.wanted) or ev.entry)
+            self._answer_with(self.ctx.node.entries.get(self.wanted) or ev.entry)
         elif ev.kind == SUSPEND and ev.origin_port == NODE_ORIGIN:
-            self._done({"kind": ERROR, "code": "not-found",
-                        "message": f"no document {self.wanted!r}"})
+            self.answer({"kind": ERROR, "code": "not-found",
+                         "message": f"no document {self.wanted!r}"})
         return False
-
-    def on_external(self, conn, msg: dict) -> None:
-        kind = msg.get("kind")
-        if kind == BYE:
-            self._done(None)
-        elif kind not in (HELLO, ACK, ERROR):
-            _err(conn, "bad-kind", "this connection only carries the answer")
 
 
 # ---------------------------------------------------------------------------
 # query: local table scans and mediated fan-out
 
 @behavior("query")
-class QueryBehavior(Behavior):
+class QueryBehavior(Answering):
     """Answers the query in this port's own metadata over the attached
     connection.
 
@@ -492,19 +506,19 @@ class QueryBehavior(Behavior):
     translator ports watching for query ports: each relevant translator
     spawns a wrapper port, wrappers post result documents tagged reply-to,
     and this port streams them out, cleaning up as it goes.  The query is
-    complete when every wrapper has retired."""
+    complete when every wrapper has retired.  A query that retires before
+    then, aborted or hung up on, removes its wrappers and unsent results."""
 
     resume_on_suspend = True
+    unexpected = "this connection only streams query results"
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.conn = self.ctx.attachment.get("conn")
         self.mode = self.ctx.config.get("mode", "local")
         self.count = 0
         self.seen_wrapper = False
         self.live_wrappers: set[str] = set()
         self.sent: set[str] = set()
-        self.finished = False
 
     def on_start(self) -> None:
         if self.mode == "local":
@@ -520,10 +534,7 @@ class QueryBehavior(Behavior):
         try:
             f = parse_filter(entry.meta.get("query", "") if entry is not None else "")
         except FilterError as e:
-            if self.conn is not None:
-                _err(self.conn, e.code, str(e))
-            self.finished = True
-            self.ctx.self_remove()
+            self.answer({"kind": ERROR, "code": e.code, "message": str(e)})
             return
         entries = self.ctx.node.entries
         # a required equality on a field of the entry narrows the candidates
@@ -539,15 +550,10 @@ class QueryBehavior(Behavior):
                 self.count += 1
                 if self.conn is not None:
                     self.conn.send({"kind": EVENT, "event": ev})
-        self._finish()
+        self._complete()
 
-    def _finish(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        if self.conn is not None:
-            self.conn.send({"kind": ACK, "done": True, "count": self.count})
-        self.ctx.self_remove()
+    def _complete(self) -> None:
+        self.answer({"kind": ACK, "done": True, "count": self.count})
 
     def _results(self):
         """Names of the result documents posted for this query and not yet
@@ -562,7 +568,7 @@ class QueryBehavior(Behavior):
         # set order; one result still pending is enough to keep waiting
         if (self.seen_wrapper and not self.live_wrappers
                 and next(self._results(), None) is None):
-            self._finish()
+            self._complete()
 
     def on_event(self, ev, subscription: str) -> bool:
         if subscription == "results" and ev.kind == INSERT and ev.entry is not None:
@@ -587,18 +593,16 @@ class QueryBehavior(Behavior):
                 self._maybe_finish()
         return False
 
-    def on_external(self, conn, msg: dict) -> None:
-        kind = msg.get("kind")
-        if kind == BYE:
-            if not self.finished:
-                # caller hung up: treat it as an abort
-                self.finished = True
-                self._cleanup()
-                self.ctx.self_remove()
-        elif kind not in (HELLO, ACK, ERROR):
-            _err(conn, "bad-kind", "this connection only streams query results")
-
-    def _cleanup(self) -> None:
+    def on_stop(self, reason: str) -> None:
+        # a finished query has nothing left to remove, and looking its
+        # results up would file meta.reply-to for every later write
+        if self.finished:
+            return
+        # not through answer(): the entry under this name, if any, is now
+        # another port's
+        self.finished = True
+        if self.conn is not None:
+            _err(self.conn, "aborted", "query was aborted")
         node = self.ctx.node
         for name in sorted(self.live_wrappers):
             entry = node.entries.get(name)
@@ -610,13 +614,6 @@ class QueryBehavior(Behavior):
             if (entry is not None and entry.kind == DOCUMENT
                     and entry.meta.get("reply-to") == self.ctx.name):
                 self.ctx.post_as_node(remove_event(entry))
-
-    def on_stop(self, reason: str) -> None:
-        if not self.finished:
-            self.finished = True
-            if self.conn is not None:
-                _err(self.conn, "aborted", "query was aborted")
-            self._cleanup()
 
 
 @behavior("translator")

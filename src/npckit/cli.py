@@ -98,24 +98,33 @@ def _admin_of(entry_url_text: str) -> tuple[str, str]:
     return admin.text(), url.name
 
 
-def _error_exit(reply: dict) -> int:
-    sys.stderr.write(f"error ({reply.get('code')}): {reply.get('message', '')}\n")
-    return NOT_FOUND
+class Refused(Exception):
+    """An error reply: npc reports it and exits NOT_FOUND."""
+
+
+def _ask(target: str, msg: dict, collect=None) -> dict:
+    """One round trip with the port at ``target``: connect, send ``msg``,
+    close, and return the ack; the frames streamed before it go to
+    ``collect``.  An error reply raises ``Refused``."""
+    client = NpcClient(target)
+    if collect is not None:
+        client.collect = collect
+    try:
+        reply = client.roundtrip(msg)
+    finally:
+        client.close()
+    if reply.get("kind") == "error":
+        raise Refused(f"error ({reply.get('code')}): {reply.get('message', '')}")
+    return reply
 
 
 # -- npc subcommands -------------------------------------------------------------
 
 def cmd_get(args) -> int:
     admin, name = _admin_of(args.url)
-    client = NpcClient(admin)
-    try:
-        reply = client.roundtrip({"kind": "cmd", "op": "fetch", "name": name})
-        if reply.get("kind") == "error":
-            return _error_exit(reply)
-        sys.stdout.buffer.write(base64.b64decode(reply.get("content_b64", "")))
-        return OK
-    finally:
-        client.close()
+    reply = _ask(admin, {"kind": "cmd", "op": "fetch", "name": name})
+    sys.stdout.buffer.write(base64.b64decode(reply.get("content_b64", "")))
+    return OK
 
 
 def cmd_put(args) -> int:
@@ -132,91 +141,58 @@ def cmd_put(args) -> int:
         k, v = pair.split("=", 1)
         meta[k] = v
     admin, name = _admin_of(args.url)
-    client = NpcClient(admin)
-    try:
-        entry = {"name": name, "kind": "document", "meta": meta,
-                 "content_b64": base64.b64encode(content).decode(),
-                 "media_type": args.media_type}
-        reply = client.roundtrip({"kind": "cmd", "op": "insert", "entry": entry})
-        if reply.get("kind") == "error":
-            return _error_exit(reply)
-        print(f"inserted {name} seq {reply.get('seq')}")
-        return OK
-    finally:
-        client.close()
+    entry = {"name": name, "kind": "document", "meta": meta,
+             "content_b64": base64.b64encode(content).decode(),
+             "media_type": args.media_type}
+    reply = _ask(admin, {"kind": "cmd", "op": "insert", "entry": entry})
+    print(f"inserted {name} seq {reply.get('seq')}")
+    return OK
 
 
 def cmd_del(args) -> int:
     admin, name = _admin_of(args.url)
-    client = NpcClient(admin)
-    try:
-        reply = client.roundtrip({"kind": "cmd", "op": "remove", "name": name})
-        if reply.get("kind") == "error":
-            return _error_exit(reply)
-        print(f"removed {name}")
-        return OK
-    finally:
-        client.close()
+    _ask(admin, {"kind": "cmd", "op": "remove", "name": name})
+    print(f"removed {name}")
+    return OK
 
 
 def cmd_ls(args) -> int:
-    url = parse_url(args.node)
-    client = NpcClient(url.child("admin").text())
-    try:
-        reply = client.roundtrip({"kind": "cmd", "op": "list"})
-        if reply.get("kind") == "error":
-            return _error_exit(reply)
-        for e in reply.get("entries", []):
-            size = len(base64.b64decode(e.get("content_b64", ""))) \
-                if e.get("kind") == "document" else ""
-            print(f"{e['kind']:<10}{e['name']:<32}{size}")
-        return OK
-    finally:
-        client.close()
+    reply = _ask(parse_url(args.node).child("admin").text(), {"kind": "cmd", "op": "list"})
+    for e in reply.get("entries", []):
+        size = len(base64.b64decode(e.get("content_b64", ""))) \
+            if e.get("kind") == "document" else ""
+        print(f"{e['kind']:<10}{e['name']:<32}{size}")
+    return OK
 
 
 def cmd_history(args) -> int:
-    url = parse_url(args.node)
-    client = NpcClient(url.child("admin").text())
-    try:
-        reply = client.roundtrip({"kind": "cmd", "op": "history",
-                                  "after": args.after, "filter": args.filter,
-                                  "max": args.max})
-        if reply.get("kind") == "error":
-            return _error_exit(reply)
-        for ev in reply.get("events", []):
-            name = (ev.get("entry") or {}).get("name", "")
-            extra = ev.get("subscription") or ev.get("label") or name
-            print(f"{ev['seq']:>6}  {ev['kind']:<8}{ev['origin_port']:<16}{extra}")
-        if not reply.get("at_end", True):
-            print(f"(more after {reply.get('last')})")
-        return OK
-    finally:
-        client.close()
+    admin = parse_url(args.node).child("admin").text()
+    reply = _ask(admin, {"kind": "cmd", "op": "history", "after": args.after,
+                         "filter": args.filter, "max": args.max})
+    for ev in reply.get("events", []):
+        name = (ev.get("entry") or {}).get("name", "")
+        extra = ev.get("subscription") or ev.get("label") or name
+        print(f"{ev['seq']:>6}  {ev['kind']:<8}{ev['origin_port']:<16}{extra}")
+    if not reply.get("at_end", True):
+        print(f"(more after {reply.get('last')})")
+    return OK
 
 
 def cmd_query(args) -> int:
-    url = parse_url(args.node)
-    client = NpcClient(url.child("admin").text())
+    admin = parse_url(args.node).child("admin").text()
     results = []
-    client.collect = lambda frame: results.append(frame)
-    try:
-        reply = client.roundtrip({"kind": "cmd", "op": "query",
-                                  "query": args.filter})
-        if reply.get("kind") == "error":
-            return _error_exit(reply)
-        for frame in results:
-            entry = (frame.get("event") or {}).get("entry") or {}
-            if args.content:
-                sys.stdout.buffer.write(base64.b64decode(entry.get("content_b64", "")))
-                sys.stdout.buffer.write(b"\n")
-            else:
-                shown = entry.get("meta", {}).get("source-name", entry.get("name", ""))
-                print(shown)
-        print(f"({reply.get('count', len(results))} results)")
-        return OK
-    finally:
-        client.close()
+    reply = _ask(admin, {"kind": "cmd", "op": "query", "query": args.filter},
+                 collect=results.append)
+    for frame in results:
+        entry = (frame.get("event") or {}).get("entry") or {}
+        if args.content:
+            sys.stdout.buffer.write(base64.b64decode(entry.get("content_b64", "")))
+            sys.stdout.buffer.write(b"\n")
+        else:
+            shown = entry.get("meta", {}).get("source-name", entry.get("name", ""))
+            print(shown)
+    print(f"({reply.get('count', len(results))} results)")
+    return OK
 
 
 def npc_main(argv=None) -> int:
@@ -266,6 +242,9 @@ def npc_main(argv=None) -> int:
     except TransportError as e:
         sys.stderr.write(f"{e}\n")
         return TRANSPORT
+    except Refused as e:
+        sys.stderr.write(f"{e}\n")
+        return NOT_FOUND
 
 
 # -- npcd subcommands --------------------------------------------------------------

@@ -41,11 +41,10 @@ class NodeError(Exception):
 
 @dataclass
 class TimerSpec:
-    """One-shot (``at``) or periodic (``every``) source of Time events."""
+    """Periodic source of Time events, one every ``every`` clock units."""
 
     label: str
-    every: int | None = None
-    at: int | None = None
+    every: int
     next_fire: int = 0
     port: str | None = None  # the owner; its timers retire with it
 
@@ -538,33 +537,22 @@ class Node:
     def schedule(self, timer: TimerSpec, now: int | None = None) -> None:
         if timer.label in self.timers:
             raise NodeError("duplicate-label", timer.label)
-        if timer.every is not None:
-            if timer.every <= 0:
-                raise NodeError("bad-timer", "period must be positive")
-            timer.next_fire = (now if now is not None else self.clock()) + timer.every
-        elif timer.at is not None:
-            timer.next_fire = timer.at
-        else:
-            raise NodeError("bad-timer", "timer needs every or at")
+        if timer.every <= 0:
+            raise NodeError("bad-timer", "period must be positive")
+        timer.next_fire = (now if now is not None else self.clock()) + timer.every
         self.timers[timer.label] = timer
         if timer.port is not None:
             self._holdings(timer.port).timers.add(timer.label)
 
     def tick(self, now: int) -> list[Event]:
-        """Post a Time event for every firing due at ``now``. Periodic
-        timers rearm at a fixed rate so late ticks catch up."""
+        """Post a Time event for every firing due at ``now``.  Timers rearm
+        at a fixed rate so late ticks catch up."""
         fired: list[Event] = []
         for label in list(self.timers):
             timer = self.timers.get(label)
             while timer is not None and timer.next_fire <= now:
                 fired.append(self.post_event(NODE_ORIGIN, Event(TIME, label=label)))
-                if timer.every is not None:
-                    timer.next_fire += timer.every
-                else:
-                    del self.timers[label]
-                    if timer.port is not None:
-                        self.held[timer.port].timers.discard(label)
-                    timer = None
+                timer.next_fire += timer.every
         return fired
 
     # -- reads for channels ------------------------------------------------------

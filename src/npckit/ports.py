@@ -85,8 +85,8 @@ class PortContext:
         """Node-issued post for teardown paths that outlive the port entry."""
         return self.node.post_event(NODE_ORIGIN, ev)
 
-    def schedule(self, label: str, every: int | None = None, at: int | None = None) -> None:
-        self.node.schedule(TimerSpec(label, every=every, at=at, port=self.name), now=self.now())
+    def schedule(self, label: str, every: int) -> None:
+        self.node.schedule(TimerSpec(label, every=every, port=self.name), now=self.now())
 
     def defer(self, method: str) -> None:
         """Run this port's ``method`` once from the driving loop, after the

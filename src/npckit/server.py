@@ -143,9 +143,13 @@ class Server:
     def describe(self) -> str:
         return f"{self.config.host}:{self.advertised_port}"
 
-    def next_name(self, prefix: str) -> str:
-        self._query_counter += 1
-        return f"{prefix}-{self._query_counter}"
+    def next_name(self, prefix: str, node: Node) -> str:
+        """A name for a port spawned on ``node``, never one in use there."""
+        while True:
+            self._query_counter += 1
+            name = f"{prefix}-{self._query_counter}"
+            if name not in node.entries:
+                return name
 
     def url_for(self, node: Node) -> EntryUrl:
         return EntryUrl(self.config.host, self.advertised_port, node.path)

@@ -5,7 +5,8 @@ random types) in every field, go to the doc-server preset's admin port.
 After each one: no fault, ``admin`` is still a port, and an error reply
 (other than from ``fetch`` or ``query``, which hand their connection to a
 port they spawn) left the entry table as it was.  A fresh connection's
-``list`` is answered throughout.
+``list`` is answered throughout, and the clock ticks every ``TICK``
+messages, so the timers of the ports the fuzz inserted fire too.
 """
 
 import random
@@ -18,6 +19,7 @@ from npckit.ports import BEHAVIORS
 from npckit.sim import SimRun
 
 MESSAGES = 500
+TICK = 25
 NAMES = ["admin", "welcome", "d1", "d2", "d3", "p1", "p2", "p3", "query-1", "req-1", "", "a/b"]
 GOOD_FILTERS = ["true", "false", 'entry.kind == "document"', 'meta.topic == "x"',
                 'event.type == "Insert" and meta.priority > "1"']
@@ -126,6 +128,9 @@ def test_random_messages_never_fault_or_take_the_admin_port_away(seed):
         if (any(r.get("kind") == "error" for r in replies)
                 and msg.get("op") not in ("fetch", "query")):
             assert table == before, context
+        if i % TICK == TICK - 1:
+            run.tick()
+            assert server.faults == 0, f"tick after {context}"
         if i % 100 == 99:
             assert admin_is_answering(run), context
     assert admin_is_answering(run)

@@ -1,0 +1,143 @@
+"""Per-operation work stays flat as the table and the history grow.
+
+Time is too noisy to pin this, so work is counted: calls of
+``eval_filter`` (each top-level evaluation once), history events read
+(what ``EventHistory.since`` hands out) and ``Node.deliver_step`` calls.
+Each path is run at N and at 4N documents, every one of which is also an
+event in the history, and its counts per operation must agree within
+``SLACK``.
+"""
+
+from collections import Counter
+
+import pytest
+
+from npckit import behaviors, gateways, history, node
+from npckit.history import EventHistory
+from npckit.model import document_entry
+from npckit.node import Node
+from npckit.sim import SimRun
+from npckit.wire import entry_to_json
+
+N = 100
+OPS = 20
+SLACK = 0.25  # per operation, or per result
+PER_TOPIC = 10  # a local query matches this many documents, whatever the table's size
+
+
+def counting(monkeypatch) -> Counter:
+    counts = Counter()
+    real_eval, real_since, real_step = behaviors.eval_filter, EventHistory.since, Node.deliver_step
+
+    def evaluated(f, ev):
+        counts["eval_filter"] += 1
+        return real_eval(f, ev)
+
+    def since(self, first):
+        for ev in real_since(self, first):
+            counts["events_read"] += 1
+            yield ev
+
+    def deliver_step(self, *args, **kwargs):
+        counts["deliver_step"] += 1
+        return real_step(self, *args, **kwargs)
+
+    # not the filters module itself: its recursion stays uncounted
+    for module in (behaviors, gateways, history, node):
+        monkeypatch.setattr(module, "eval_filter", evaluated)
+    monkeypatch.setattr(EventHistory, "since", since)
+    monkeypatch.setattr(Node, "deliver_step", deliver_step)
+    return counts
+
+
+def doc(i: int) -> dict:
+    return entry_to_json(document_entry(f"d{i:05d}", b"x", meta={"topic": f"t{i // PER_TOPIC}"}))
+
+
+def origin(n: int) -> SimRun:
+    """A server with an admin port and ``n`` documents."""
+    run = SimRun()
+    run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [
+        {"name": "admin", "kind": "port", "behavior": "admin"}] + [doc(i) for i in range(n)]}})
+    run.quiesce()
+    return run
+
+
+def ask(run: SimRun, msg: dict) -> list:
+    run.connect("c", "npc://a:7070/root/admin")
+    run.take_replies("c")
+    run.send("c", msg)
+    replies = run.take_replies("c")
+    run.close("c")
+    return replies
+
+
+def fetch_hit(run, i):
+    assert ask(run, {"kind": "cmd", "op": "fetch", "name": f"d{i:05d}"})[0]["kind"] == "ack"
+
+
+def fetch_miss(run, i):
+    assert ask(run, {"kind": "cmd", "op": "fetch", "name": f"ghost{i}"})[0]["code"] == "not-found"
+
+
+def push_insert(run, i):
+    event = {"kind": "Insert", "entry": doc(100000 + i)}
+    assert ask(run, {"kind": "event", "event": event}) == []
+
+
+def local_query(run, i):
+    """Counted per result: a table of any size holds ``PER_TOPIC``."""
+    replies = ask(run, {"kind": "cmd", "op": "query", "query": f'meta.topic == "t{i % 10}"'})
+    (done,) = [r for r in replies if r["kind"] == "ack"]
+    return done["count"]
+
+
+PATHS = {"fetch-hit": fetch_hit, "fetch-miss": fetch_miss, "push-insert": push_insert,
+         "local-query-per-result": local_query}
+
+
+def per_op(monkeypatch, path, n: int) -> dict:
+    run = origin(n)
+    counts = counting(monkeypatch)
+    per = 0
+    for i in range(OPS):
+        per += PATHS[path](run, i) or 1
+    monkeypatch.undo()
+    assert run.server("a").faults == 0
+    return {key: value / per for key, value in counts.items()}
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_work_per_op_does_not_grow_with_the_table(monkeypatch, path):
+    small, large = per_op(monkeypatch, path, N), per_op(monkeypatch, path, 4 * N)
+    for key in ("eval_filter", "events_read", "deliver_step"):
+        assert abs(small.get(key, 0) - large.get(key, 0)) <= SLACK, (key, small, large)
+
+
+def pulled(monkeypatch, n: int) -> dict:
+    """Counts per event a puller takes from an origin holding ``n``
+    documents, each event inserted and pulled on its own."""
+    run = origin(n)
+    start = run.server("a").root.history.last_seq
+    run.add_server({"host": "b", "npc_tcp_port": 7070, "root": {"entries": [
+        {"name": "p", "kind": "port", "behavior": "puller",
+         "config": {"source": "npc://a:7070/root/admin", "every": "1", "after": str(start)}}]}})
+    run.quiesce()
+    run.tick()  # the puller dials and catches up with nothing
+    counts = counting(monkeypatch)
+    for i in range(OPS):
+        run.connect("c", "npc://a:7070/root/admin")
+        run.send("c", {"kind": "cmd", "op": "insert", "entry": doc(100000 + i)})
+        run.close("c")
+        run.tick()
+    monkeypatch.undo()
+    copies = [name for name in run.server("b").root.entries if name.startswith("d")]
+    assert len(copies) == OPS
+    assert run.server("a").faults == run.server("b").faults == 0
+    return {key: value / OPS for key, value in counts.items()}
+
+
+def test_work_per_pulled_event_does_not_grow_with_the_history(monkeypatch):
+    small, large = pulled(monkeypatch, N), pulled(monkeypatch, 4 * N)
+    for key in ("eval_filter", "events_read", "deliver_step"):
+        assert abs(small.get(key, 0) - large.get(key, 0)) <= SLACK, (key, small, large)

@@ -234,3 +234,10 @@ def test_a_media_type_that_is_no_header_value_is_still_served(web):
     assert data.startswith(b"HTTP/1.0 200 ") and data.endswith(b"\r\n\r\nodd body")
     assert b"\r\nX-Injected" not in data
     assert web.faults == 0
+
+
+def test_a_spawned_port_never_takes_the_name_of_an_entry():
+    s = make_server()
+    assert http_request(s, "PUT", "/root/req-1", b"mine", "text/plain")[0] == 201
+    assert http_request(s, "GET", "/root/page")[0] == 200
+    assert http_request(s, "GET", "/root/req-1")[2] == b"mine"

@@ -479,20 +479,11 @@ def test_periodic_timer_catches_up_missed_periods():
     assert n.timers["t"].next_fire == 40
 
 
-def test_one_shot_timer_fires_once():
-    n = Node()
-    n.schedule(TimerSpec("once", at=5))
-    assert n.tick(4) == []
-    assert len(n.tick(5)) == 1
-    assert n.tick(50) == []
-    assert "once" not in n.timers
-
-
 def test_duplicate_timer_label_rejected():
     n = Node()
     n.schedule(TimerSpec("t", every=1))
     with pytest.raises(NodeError) as exc:
-        n.schedule(TimerSpec("t", at=9))
+        n.schedule(TimerSpec("t", every=9))
     assert exc.value.code == "duplicate-label"
     with pytest.raises(NodeError):
         n.schedule(TimerSpec("bad", every=0))

@@ -11,7 +11,7 @@ import pytest
 
 from npckit.apps import build_preset
 from npckit.cli import NpcClient
-from npckit.history import NODE_ORIGIN, REMOVE, EventHistory, insert_event
+from npckit.history import NODE_ORIGIN, REMOVE, TIME, EventHistory, insert_event
 from npckit.model import PORT, PortSpec, document_entry, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import Server, ServerConfig
@@ -53,10 +53,11 @@ def retired_by_node(run: SimRun, name: str) -> bool:
     return last.kind == REMOVE and last.origin_port == NODE_ORIGIN
 
 
-def test_faulting_event_hook_retires_the_port_and_the_server_answers_on():
+def test_faulting_event_hook_retires_the_port_and_the_server_answers_on(monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "faulty", Faulty)
     run = admin_run()
-    # a puller without a source raises on its first tick
-    run.send("c", insert_port("p1", "puller", {"every": "1"}))
+    # the port raises on the first event delivered to it
+    run.send("c", insert_port("p1", "faulty", {"fail": "on_event"}))
     assert run.take_replies("c")[0]["kind"] == "ack"
     run.tick(1)
     faults = [line for line in run.tracer.lines() if "\tfault\t" in line]
@@ -140,7 +141,8 @@ def test_every_hook_is_fault_isolated(monkeypatch, hook):
     assert listed(run.take_replies("c")) == ["admin"]
 
 
-def test_driver_survives_a_faulting_behavior_over_tcp():
+def test_driver_survives_a_faulting_behavior_over_tcp(monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "faulty", Faulty)
     config = {"host": "127.0.0.1", "npc_tcp_port": 0, "root": {"entries": [ADMIN]}}
     server = Server(ServerConfig.from_dict(config), real=True)
     server.start()
@@ -148,9 +150,9 @@ def test_driver_survives_a_faulting_behavior_over_tcp():
         client = NpcClient(f"npc://127.0.0.1:{server.advertised_port}/root/admin",
                            timeout=5)
         try:
-            reply = client.roundtrip(insert_port("p1", "puller", {"every": "1"}))
+            reply = client.roundtrip(insert_port("p1", "faulty", {"fail": "on_event"}))
             assert reply["kind"] == "ack", reply
-            # the first tick of the sourceless puller's timer raises in its on_event
+            # the first event delivered to the port raises in its on_event
             deadline = time.monotonic() + 5
             while "p1" in listed([client.roundtrip({"kind": "cmd", "op": "list"})]):
                 assert time.monotonic() < deadline, "faulting port was not retired"
@@ -463,6 +465,32 @@ def test_removed_port_leaves_no_timer_and_can_be_inserted_again(behavior, config
         last = root.history.last_seq
         run.tick(10)
         assert root.history.last_seq == last  # no Time event of a retired port
+
+
+def test_a_puller_takes_no_other_ports_timer_label():
+    # a puller's timer is always pull-<name>; a label in its config is no knob
+    run = admin_run()
+    root = run.server("a").root
+    run.send("c", insert_port("x", "gc", {"every": "1"}))
+    run.send("c", insert_port("p", "puller", {"every": "1", "label": "gc-x",
+                                              "source": "npc://nowhere:7070/root/admin"}))
+    assert [r["kind"] for r in run.take_replies("c")] == ["ack", "ack"]
+    last = root.history.last_seq
+    run.tick(1)
+    fired = [e.label for e in root.history.live if e.kind == TIME and e.seq > last]
+    assert sorted(fired) == ["gc-x", "pull-p"]
+    assert run.server("a").faults == 0
+
+
+def test_a_puller_without_a_source_is_told_it_cannot_dial():
+    run = admin_run()
+    run.send("c", insert_port("p", "puller", {"every": "1"}))
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    run.tick(1)
+    actions = [line.split("\t")[2:] for line in run.tracer.lines()
+               if line.split("\t")[2] in ("dial-failed", "drop", "fault")]
+    assert actions == [["dial-failed", "bad url ''"], ["drop", "source unreachable"]]
+    assert "p" in run.server("a").root.entries
 
 
 # -- admin requests are checked before they can fault ---------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from npckit.filters import parse_filter
 from npckit.gateways import LoopbackNetwork
-from npckit.history import INSERT, NODE_ORIGIN, insert_event, receive_event, remove_event
+from npckit.history import INSERT, NODE_ORIGIN, REMOVE, insert_event, receive_event, remove_event
 from npckit.model import DOCUMENT, PORT, PortSpec, document_entry, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import ConfigError, Server, ServerConfig
@@ -513,6 +513,53 @@ def test_mediated_query_work_per_result_does_not_grow_with_the_table():
         assert [n for n in s.root.entries if n.startswith(("q", "w-"))] == []
         costs[size] = work[1:]
     assert costs[10] == costs[1000]
+
+
+@pytest.mark.parametrize("op, text", [("fetch", "this connection only carries the answer"),
+                                      ("query", "this connection only streams query results")])
+def test_a_port_that_answers_once_refuses_stray_frames(op, text):
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[{**ADMIN, "config": {"query_mode": "mediated"}}])
+    client = FakeClient()
+    conn = connect(net, client, s)
+    conn.send({"kind": "cmd", "op": op, "name": "ghost", "query": "true"})
+    for kind in ("hello", "ack", "error", "cmd"):  # reach the port before it answers
+        conn.send({"kind": kind})
+    s.settle()
+    refused = [r for r in client.take() if r.get("code") == "bad-kind"]
+    assert refused == [{"v": 1, "kind": "error", "code": "bad-kind", "message": text}]
+    assert s.faults == 0
+
+
+@pytest.mark.parametrize("ending", ["hang-up", "abort"])
+def test_a_query_that_ends_unfinished_is_torn_down_after_its_own_remove(ending):
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[{**ADMIN, "config": {"query_mode": "mediated"}}])
+    client = FakeClient()
+    conn = connect(net, client, s)
+    conn.send({"kind": "cmd", "op": "query", "query": "true"})
+    s.settle()
+    s.root.post_event(NODE_ORIGIN, insert_event(port_entry(
+        "w", PortSpec("manual"), meta={"reply-to": "query-1"})))
+    s.settle()
+    query = s.behavior_at(("root",), "query-1")
+    assert query.live_wrappers == {"w"}
+    # a result the query has not streamed out yet
+    s.root.post_event(NODE_ORIGIN, insert_event(document_entry(
+        "r", b"x", meta={"reply-to": "query-1"})))
+    last = s.root.history.last_seq
+    client.take()
+    if ending == "hang-up":
+        conn.close()
+    else:
+        s.root.post_event(NODE_ORIGIN, remove_event(s.root.entries["query-1"]))
+    s.settle()
+    removed = [e.entry.name for e in s.root.history.live if e.seq > last and e.kind == REMOVE]
+    assert removed == ["query-1", "w", "r"]
+    assert query.finished and sorted(s.root.entries) == ["admin"]
+    # only an abort still has a caller to tell
+    told = [m.get("code") for m in client.take() if m["kind"] == "error"]
+    assert told == ([] if ending == "hang-up" else ["aborted"])
 
 
 class Watcher(Behavior):
