@@ -118,6 +118,15 @@ def _ask(target: str, msg: dict, collect=None) -> dict:
     return reply
 
 
+def key_value(pair: str) -> tuple[str, str]:
+    """A ``K=V`` command-line argument as ``(K, V)``; argparse exits with
+    USAGE on any other text."""
+    k, eq, v = pair.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"bad pair {pair!r}, want key=value")
+    return k, v
+
+
 # -- npc subcommands -------------------------------------------------------------
 
 def cmd_get(args) -> int:
@@ -133,15 +142,8 @@ def cmd_put(args) -> int:
             content = f.read()
     else:
         content = (args.text or "").encode("utf-8")
-    meta = {}
-    for pair in args.meta or []:
-        if "=" not in pair:
-            sys.stderr.write(f"bad --meta {pair!r}, want key=value\n")
-            return USAGE
-        k, v = pair.split("=", 1)
-        meta[k] = v
     admin, name = _admin_of(args.url)
-    entry = {"name": name, "kind": "document", "meta": meta,
+    entry = {"name": name, "kind": "document", "meta": dict(args.meta or []),
              "content_b64": base64.b64encode(content).decode(),
              "media_type": args.media_type}
     reply = _ask(admin, {"kind": "cmd", "op": "insert", "entry": entry})
@@ -208,7 +210,7 @@ def npc_main(argv=None) -> int:
     g.add_argument("--file", help="read content from this file")
     g.add_argument("--text", help="literal content")
     g.add_argument("--media-type", default="application/octet-stream")
-    g.add_argument("--meta", action="append", metavar="K=V")
+    g.add_argument("--meta", action="append", metavar="K=V", type=key_value)
     g.set_defaults(fn=cmd_put)
 
     g = sub.add_parser("del", help="remove an entry")
@@ -278,14 +280,7 @@ def npcd_preset(args) -> int:
         sys.stderr.write(f"unknown preset {args.name!r}; "
                          f"have {', '.join(sorted(PRESETS))}\n")
         return USAGE
-    params = {}
-    for pair in args.param or []:
-        if "=" not in pair:
-            sys.stderr.write(f"bad --param {pair!r}, want key=value\n")
-            return USAGE
-        k, v = pair.split("=", 1)
-        params[k] = v
-    configs = build_preset(args.name, params)
+    configs = build_preset(args.name, dict(args.param or []))
     print(json.dumps(configs, indent=2, sort_keys=True))
     return OK
 
@@ -312,7 +307,7 @@ def npcd_main(argv=None) -> int:
 
     g = sub.add_parser("preset", help="print the config for a stock application")
     g.add_argument("name")
-    g.add_argument("--param", action="append", metavar="K=V")
+    g.add_argument("--param", action="append", metavar="K=V", type=key_value)
     g.set_defaults(fn=npcd_preset)
 
     g = sub.add_parser("sim", help="run a scenario deterministically and print its trace")

@@ -400,32 +400,6 @@ def eval_filter(e: FilterExpr, ev) -> bool:
 # ---------------------------------------------------------------------------
 # filter index
 
-def filter_event_types(e: FilterExpr) -> set[str] | None:
-    """Event types a filter can possibly match, from positive ``event.type``
-    equality atoms; ``None`` means no restriction was derivable."""
-    if isinstance(e, BoolLit):
-        return set() if not e.value else None
-    if isinstance(e, Cmp):
-        if e.field == "event.type" and e.op == "==":
-            return {e.literal}
-        return None
-    if isinstance(e, Not):
-        return None
-    if isinstance(e, And):
-        l, r = filter_event_types(e.left), filter_event_types(e.right)
-        if l is None:
-            return r
-        if r is None:
-            return l
-        return l & r
-    if isinstance(e, Or):
-        l, r = filter_event_types(e.left), filter_event_types(e.right)
-        if l is None or r is None:
-            return None
-        return l | r
-    raise TypeError(f"not a filter expression: {e!r}")
-
-
 def access_predicate(e: FilterExpr, fields: tuple[str, ...]) -> Cmp | None:
     """A ``field == "literal"`` atom among the top-level conjuncts of ``e``,
     so one that holds wherever ``e`` holds, on the earliest of ``fields``
@@ -464,9 +438,8 @@ class ValueMap:
                 del self.fields[field]
 
 
-# the fields a subscription is filed under, most selective first; filters
-# with none of them fall back to their event types
-ACCESS_FIELDS = ("meta.", "entry.name", "event.label", "event.port")
+# the fields a subscription is filed under, most selective first
+ACCESS_FIELDS = ("meta.", "entry.name", "event.label", "event.port", "event.type")
 
 
 class FilterIndexError(Exception):
@@ -478,16 +451,16 @@ class FilterIndexError(Exception):
 class FilterIndex:
     """Routes events to the registered filters that match them.
 
-    Each filter is filed under one access predicate: a required equality
-    atom on one of ``ACCESS_FIELDS``, else the event types it can match,
-    else nothing, which makes it a candidate for every event.  An event
-    looks up its own value of each field filters are filed under, and
-    every candidate is confirmed with a full evaluation, so the result is
-    identical to scanning every registered filter.
+    Each filter is filed under one access predicate, a required equality
+    atom on one of ``ACCESS_FIELDS``, or under nothing, which makes it a
+    candidate for every event.  An event looks up its own value of each
+    field filters are filed under, and every candidate is confirmed with a
+    full evaluation, so the result is identical to scanning every
+    registered filter.
     """
 
     def __init__(self):
-        self._filters: dict = {}  # key -> (expr, [(field, value)] or None)
+        self._filters: dict = {}  # key -> (expr, access predicate or None)
         self._by_value = ValueMap()
         self._any: set = set()
 
@@ -495,27 +468,20 @@ class FilterIndex:
         if key in self._filters:
             raise FilterIndexError("duplicate-registration", repr(key))
         atom = access_predicate(expr, ACCESS_FIELDS)
-        if atom is not None:
-            filed = [(atom.field, atom.literal)]
-        else:
-            types = filter_event_types(expr)
-            filed = None if types is None else [("event.type", t) for t in types]
-        self._filters[key] = (expr, filed)
-        if filed is None:
+        self._filters[key] = (expr, atom)
+        if atom is None:
             self._any.add(key)
         else:
-            for field, value in filed:
-                self._by_value.add(field, value, key)
+            self._by_value.add(atom.field, atom.literal, key)
 
     def unregister(self, key) -> None:
         if key not in self._filters:
             raise FilterIndexError("unknown-port", repr(key))
-        _, filed = self._filters.pop(key)
-        if filed is None:
+        _, atom = self._filters.pop(key)
+        if atom is None:
             self._any.discard(key)
         else:
-            for field, value in filed:
-                self._by_value.discard(field, value, key)
+            self._by_value.discard(atom.field, atom.literal, key)
 
     def __contains__(self, key) -> bool:
         return key in self._filters

@@ -112,8 +112,8 @@ class Node:
     ``sinks`` maps a port name to a callable ``(event, subscription) ->
     consumed`` invoked for each delivery; the port runtime installs one per
     spawned behavior and tests may install plain functions.  The insert and
-    remove hooks let the surrounding server spawn behaviors and build
-    subnodes without the node knowing about either.
+    remove hooks let the surrounding server spawn behaviors and build and
+    retire subnodes without the node knowing about either.
     """
 
     def __init__(self, path: tuple[str, ...] = (), clock=None, max_history: int | None = None,
@@ -133,6 +133,7 @@ class Node:
         self.on_port_inserted = None
         self.on_port_removed = None
         self.on_node_inserted = None
+        self.on_node_removed = None
         # (ring, ticket) of this node in the ready ring of the server that
         # drives it
         self.slot = None
@@ -208,6 +209,8 @@ class Node:
         return stamped
 
     def _sub_for(self, from_port: str, ev: Event) -> tuple[Subscription, bool]:
+        if from_port == NODE_ORIGIN:
+            raise NodeError("bad-kind", "the node does not subscribe to itself")
         name = ev.subscription or "default"
         key = (from_port, name)
         sub = self.subs.get(key)
@@ -219,8 +222,6 @@ class Node:
         return sub, True
 
     def _post_receive(self, from_port: str, ev: Event) -> None:
-        if from_port == NODE_ORIGIN:
-            raise NodeError("bad-kind", "the node does not subscribe to itself")
         sub, _created = self._sub_for(from_port, ev)
         sub.dyn_filter = ev.filter if ev.filter is not None else TRUE
         sub.flag = True
@@ -267,8 +268,8 @@ class Node:
         self._file_entry(name, old, ev.entry)
         self._trace("post", from_port, "Insert {}", name)
         stamped = self._append(ev)
-        if old is not None and old.kind == PORT:
-            self._drop_port(name, old)
+        if old is not None:
+            self._retired(name, old, ev.entry)
         if ev.entry.kind == PORT and self.on_port_inserted is not None:
             self.on_port_inserted(ev.entry)
         if ev.entry.kind == NODE and self.on_node_inserted is not None:
@@ -289,8 +290,7 @@ class Node:
             return None
         self._trace("post", from_port, "Remove {}", name)
         stamped = self._append(ev)
-        if current.kind == PORT:
-            self._drop_port(name, current)
+        self._retired(name, current, None)
         return stamped
 
     def _post_time(self, from_port: str, ev: Event) -> Event:
@@ -343,6 +343,24 @@ class Node:
 
     def _holdings(self, port: str) -> Holdings:
         return self.held.setdefault(port, Holdings())
+
+    def _retired(self, name: str, old: Entry, new: Entry | None) -> None:
+        """``old`` left the table, removed or replaced by ``new``: a port
+        releases what it holds, and a node entry that no node entry
+        replaces takes its subnode and everything below with it."""
+        if old.kind == PORT:
+            self._drop_port(name, old)
+        elif (old.kind == NODE and (new is None or new.kind != NODE)
+              and self.on_node_removed is not None):
+            self.on_node_removed(name)
+
+    def retire(self) -> None:
+        """Stop every port as on its removal: the node is leaving the tree.
+        Every subscription goes with its port, so the node also leaves the
+        server's ready ring."""
+        for name, entry in list(self.entries.items()):
+            if entry.kind == PORT:
+                self._drop_port(name, entry)
 
     def _drop_port(self, name: str, entry: Entry | None) -> None:
         """Release what the port holds, and nothing else."""

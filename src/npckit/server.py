@@ -127,6 +127,7 @@ class Server:
         self.stubs: dict[str, object] = {}
         self._query_counter = 0
         self._ready = ReadyRing()  # of nodes, ticketed in creation order
+        self._tickets = 0
         self.listener = None
         self.httpd = None  # the HTTP listener, when HTTP is on
         self._driver: threading.Thread | None = None
@@ -169,7 +170,9 @@ class Server:
         node.on_port_inserted = lambda entry, n=node: self._spawn_port(n, entry)
         node.on_port_removed = lambda name, entry, n=node: self._stop_port(n, name)
         node.on_node_inserted = lambda entry, n=node: self._bind_subnode(n, entry)
-        node.slot = (self._ready, len(self.nodes))
+        node.on_node_removed = lambda name, n=node: self._retire_subtree(n, name)
+        node.slot = (self._ready, self._tickets)
+        self._tickets += 1
         self.nodes[path] = node
         return node
 
@@ -200,6 +203,21 @@ class Server:
         path = parent.path + (entry.name,)
         if path not in self.nodes:
             self._make_node(path)
+
+    def _retire_subtree(self, parent: Node, name: str) -> None:
+        """Retire the subnode ``name`` of ``parent`` and every node below
+        it: their ports stop as on a port removal, and the nodes leave the
+        tree and the ready ring.  A node entry inserted again under the
+        name starts an empty subnode."""
+        path = parent.path + (name,)
+        for p in [p for p in self.nodes if p[:len(path)] == path]:
+            self.nodes.pop(p).retire()
+        if self._ready.start > self._last_ticket():
+            # nothing left at or after the start: the next turn wraps
+            self._ready.start = 0
+
+    def _last_ticket(self) -> int:
+        return next(reversed(self.nodes.values())).slot[1]
 
     # -- behaviors -------------------------------------------------------------------
 
@@ -447,14 +465,14 @@ class Server:
         node in ring order that has a subscription ready.  A node is in
         the ready ring exactly while it has one."""
         ring = self._ready
-        # nodes are only ever added, so a delivery that builds a subnode
-        # leaves the first n places as they were
-        n = len(self.nodes)
+        # read before the turn: a subnode that the delivery builds takes
+        # its first turn after the ring wraps
+        last = self._last_ticket()
         pos = ring.start
         while ring.ready:
             ticket, node = ring.first_ready(pos)
             if node.deliver_step() is not None:
-                ring.start = (ticket + 1) % n
+                ring.start = ticket + 1 if ticket < last else 0
                 return True
             pos = ticket + 1
         return False

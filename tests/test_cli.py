@@ -105,6 +105,21 @@ def test_npcd_serve_refuses_a_bad_config_with_its_path(tmp_path, capsys):
     assert "config.root.entries[0].input_filter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["npc", "put", "npc://127.0.0.1:1/root/x", "--meta", "topic"],
+                                  ["npcd", "preset", "doc-server", "--param", "host"]],
+                         ids=["meta", "param"])
+def test_a_bad_key_value_pair_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "want key=value" in capsys.readouterr().err
+
+
+def test_npcd_preset_takes_key_value_params(capsys):
+    assert npcd_main(["preset", "doc-server", "--param", "host=box=1"]) == 0
+    assert [c["host"] for c in json.loads(capsys.readouterr().out)] == ["box=1"]
+
+
 def test_npcd_preset_unknown(capsys):
     rc = npcd_main(["preset", "warp-drive"])
     assert rc == 2

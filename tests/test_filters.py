@@ -6,9 +6,9 @@ from conftest import (LABELS, META_VALUES, NAMES, PORTS, glob_oracle, loose_text
                       rand_event, rand_filter)
 from npckit.filters import (ACCESS_FIELDS, And, BoolLit, Cmp, FALSE, FilterError,
                             FilterIndex, FilterIndexError, Not, Or, TRUE,
-                            access_predicate, eval_filter, filter_event_types,
+                            access_predicate, eval_filter,
                             MAX_DEPTH, glob_match, parse_filter, print_filter)
-from npckit.history import Event, INSERT, TIME
+from npckit.history import Event, INSERT, REMOVE, TIME
 from npckit.model import document_entry
 
 
@@ -221,26 +221,10 @@ def test_access_predicate_cases():
     assert pred('not meta.topic == "news"') is None
     assert pred('meta.topic == "a" or meta.topic == "b"') is None
     assert pred('meta.topic matches "n*"') is None
-    # event.type and entry.kind are left to the caller's fallback
-    assert pred('event.type == "Insert" and entry.kind == "document"') is None
+    # event.type is the last access field; entry.kind is none
+    assert pred('event.type == "Insert" and entry.kind == "document"') == ("event.type", "Insert")
     assert pred('entry.kind == "document"', ("meta.", "entry.name", "entry.kind")) \
         == ("entry.kind", "document")
-
-def test_filter_event_types_cases():
-    assert filter_event_types(TRUE) is None
-    assert filter_event_types(FALSE) == set()
-    assert filter_event_types(parse_filter('event.type == "Insert"')) == {"Insert"}
-    both = parse_filter('event.type == "Insert" or event.type == "Remove"')
-    assert filter_event_types(both) == {"Insert", "Remove"}
-    anded = parse_filter('event.type == "Insert" and meta.topic == "news"')
-    assert filter_event_types(anded) == {"Insert"}
-    assert filter_event_types(parse_filter('event.type != "Insert"')) is None
-    assert filter_event_types(parse_filter('not event.type == "Insert"')) is None
-    mixed_or = parse_filter('event.type == "Insert" or meta.topic == "news"')
-    assert filter_event_types(mixed_or) is None
-    impossible = parse_filter('event.type == "Insert" and event.type == "Remove"')
-    assert filter_event_types(impossible) == set()
-
 
 def test_index_matches_exactly_like_a_scan(rng):
     index = FilterIndex()
@@ -272,6 +256,20 @@ def test_index_candidates_prune_by_event_type():
     assert index.match(ins_ev) == {"ins", "any"}
 
 
+def test_an_or_of_types_is_a_candidate_for_every_event():
+    index = FilterIndex()
+    index.register("either", parse_filter('event.type == "Insert" or event.type == "Remove"'))
+    index.register("time", parse_filter('event.type == "Time" and event.port != "x"'))
+    assert index._filters["either"][1] is None
+    assert index._filters["time"][1] == Cmp("event.type", "==", "Time")
+    for ev in [ev_insert("d"), Event(TIME, label="t"),
+               Event(REMOVE, entry=document_entry("d", b"x"))]:
+        assert "either" in index.candidates(ev)
+    assert "time" not in index.candidates(ev_insert("d"))
+    assert index.candidates(Event(TIME, label="t")) == {"either", "time"}
+    assert index.match(ev_insert("d")) == {"either"}
+
+
 def test_index_candidates_are_filed_under_one_access_predicate():
     index = FilterIndex()
     index.register("news", parse_filter('event.type == "Insert" and meta.topic == "news"'))
@@ -280,9 +278,11 @@ def test_index_candidates_are_filed_under_one_access_predicate():
     index.register("ins", parse_filter('event.type == "Insert"'))
     index.register("any", parse_filter('meta.topic != "news"'))
     index.register("never", FALSE)
-    assert index.candidates(ev_insert("a", meta={"topic": "sports"})) == {"a", "ins", "any"}
-    assert index.candidates(ev_insert("b", meta={"topic": "news"})) == {"news", "ins", "any"}
-    assert index.candidates(Event(TIME, label="tick")) == {"tick", "any"}
+    assert index.candidates(ev_insert("a", meta={"topic": "sports"})) == {"a", "ins", "any",
+                                                                          "never"}
+    assert index.candidates(ev_insert("b", meta={"topic": "news"})) == {"news", "ins", "any",
+                                                                        "never"}
+    assert index.candidates(Event(TIME, label="tick")) == {"tick", "any", "never"}
     for key in ["news", "a", "tick", "ins", "any", "never"]:
         index.unregister(key)
     assert index.candidates(ev_insert("a", meta={"topic": "news"})) == set()

@@ -5,14 +5,15 @@ Time is too noisy to pin this, so work is counted: calls of
 (what ``EventHistory.since`` hands out) and ``Node.deliver_step`` calls.
 Each path is run at N and at 4N documents, every one of which is also an
 event in the history, and its counts per operation must agree within
-``SLACK``.
+``SLACK``.  Delivery is run the same way at S and at 4S subscriptions that
+no event matches.
 """
 
 from collections import Counter
 
 import pytest
 
-from npckit import behaviors, gateways, history, node
+from npckit import behaviors, filters, gateways, history, node
 from npckit.history import EventHistory
 from npckit.model import document_entry
 from npckit.node import Node
@@ -20,6 +21,7 @@ from npckit.sim import SimRun
 from npckit.wire import entry_to_json
 
 N = 100
+S = 20
 OPS = 20
 SLACK = 0.25  # per operation, or per result
 PER_TOPIC = 10  # a local query matches this many documents, whatever the table's size
@@ -29,9 +31,15 @@ def counting(monkeypatch) -> Counter:
     counts = Counter()
     real_eval, real_since, real_step = behaviors.eval_filter, EventHistory.since, Node.deliver_step
 
+    nesting = [0]
+
     def evaluated(f, ev):
-        counts["eval_filter"] += 1
-        return real_eval(f, ev)
+        counts["eval_filter"] += not nesting[0]
+        nesting[0] += 1
+        try:
+            return real_eval(f, ev)
+        finally:
+            nesting[0] -= 1
 
     def since(self, first):
         for ev in real_since(self, first):
@@ -42,8 +50,9 @@ def counting(monkeypatch) -> Counter:
         counts["deliver_step"] += 1
         return real_step(self, *args, **kwargs)
 
-    # not the filters module itself: its recursion stays uncounted
-    for module in (behaviors, gateways, history, node):
+    # the filters module too, for the index's evaluations; its recursion
+    # is nested, so stays uncounted
+    for module in (behaviors, filters, gateways, history, node):
         monkeypatch.setattr(module, "eval_filter", evaluated)
     monkeypatch.setattr(EventHistory, "since", since)
     monkeypatch.setattr(Node, "deliver_step", deliver_step)
@@ -54,11 +63,19 @@ def doc(i: int) -> dict:
     return entry_to_json(document_entry(f"d{i:05d}", b"x", meta={"topic": f"t{i // PER_TOPIC}"}))
 
 
-def origin(n: int) -> SimRun:
-    """A server with an admin port and ``n`` documents."""
+def watcher(i: int) -> dict:
+    """A port whose subscription no event here matches, filed under
+    ``meta.topic`` or under ``event.type == "Time"`` by turns."""
+    return {"name": f"w{i}", "kind": "port", "behavior": "admin", "receive_flag": True,
+            "input_filter": f'meta.topic == "none{i}"' if i % 2 else 'event.type == "Time"'}
+
+
+def origin(n: int, s: int = 0) -> SimRun:
+    """A server with an admin port, ``n`` documents and ``s`` watchers."""
     run = SimRun()
     run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [
-        {"name": "admin", "kind": "port", "behavior": "admin"}] + [doc(i) for i in range(n)]}})
+        {"name": "admin", "kind": "port", "behavior": "admin"}]
+        + [doc(i) for i in range(n)] + [watcher(i) for i in range(s)]}})
     run.quiesce()
     return run
 
@@ -70,6 +87,32 @@ def ask(run: SimRun, msg: dict) -> list:
     replies = run.take_replies("c")
     run.close("c")
     return replies
+
+
+def last_seq(run) -> int:
+    return run.server("a").root.history.last_seq
+
+
+def insert(run, i):
+    assert ask(run, {"kind": "cmd", "op": "insert", "entry": doc(100000 + i)})[0]["kind"] == "ack"
+
+
+def remove(run, i):
+    assert ask(run, {"kind": "cmd", "op": "remove", "name": f"d{i:05d}"})[0]["kind"] == "ack"
+
+
+def get(run, i):
+    assert ask(run, {"kind": "cmd", "op": "get", "name": f"d{i:05d}"})[0]["kind"] == "ack"
+
+
+def pull_at_end(run, i):
+    (ack,) = ask(run, {"kind": "pull", "after": last_seq(run)})
+    assert ack["events"] == [] and ack["at_end"]
+
+
+def history_tail(run, i):
+    (ack,) = ask(run, {"kind": "cmd", "op": "history", "after": last_seq(run) - 5})
+    assert len(ack["events"]) == 5 and ack["at_end"]
 
 
 def fetch_hit(run, i):
@@ -92,12 +135,13 @@ def local_query(run, i):
     return done["count"]
 
 
-PATHS = {"fetch-hit": fetch_hit, "fetch-miss": fetch_miss, "push-insert": push_insert,
-         "local-query-per-result": local_query}
+PATHS = {"insert": insert, "remove": remove, "get": get, "pull-at-end": pull_at_end,
+         "history-tail": history_tail, "fetch-hit": fetch_hit, "fetch-miss": fetch_miss,
+         "push-insert": push_insert, "local-query-per-result": local_query}
 
 
-def per_op(monkeypatch, path, n: int) -> dict:
-    run = origin(n)
+def per_op(monkeypatch, path, n: int, s: int = 0) -> dict:
+    run = origin(n, s)
     counts = counting(monkeypatch)
     per = 0
     for i in range(OPS):
@@ -107,11 +151,18 @@ def per_op(monkeypatch, path, n: int) -> dict:
     return {key: value / per for key, value in counts.items()}
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_work_per_op_does_not_grow_with_the_table(monkeypatch, path):
-    small, large = per_op(monkeypatch, path, N), per_op(monkeypatch, path, 4 * N)
+def assert_flat(small: dict, large: dict) -> None:
     for key in ("eval_filter", "events_read", "deliver_step"):
         assert abs(small.get(key, 0) - large.get(key, 0)) <= SLACK, (key, small, large)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_work_per_op_does_not_grow_with_the_table(monkeypatch, path):
+    assert_flat(per_op(monkeypatch, path, N), per_op(monkeypatch, path, 4 * N))
+
+
+def test_work_per_insert_does_not_grow_with_subscriptions_that_never_match(monkeypatch):
+    assert_flat(per_op(monkeypatch, "insert", N, S), per_op(monkeypatch, "insert", N, 4 * S))
 
 
 def pulled(monkeypatch, n: int) -> dict:
@@ -138,6 +189,4 @@ def pulled(monkeypatch, n: int) -> dict:
 
 
 def test_work_per_pulled_event_does_not_grow_with_the_history(monkeypatch):
-    small, large = pulled(monkeypatch, N), pulled(monkeypatch, 4 * N)
-    for key in ("eval_filter", "events_read", "deliver_step"):
-        assert abs(small.get(key, 0) - large.get(key, 0)) <= SLACK, (key, small, large)
+    assert_flat(pulled(monkeypatch, N), pulled(monkeypatch, 4 * N))

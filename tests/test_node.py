@@ -211,6 +211,16 @@ def test_port_suspend_pauses_delivery_without_append():
     assert n.deliver_step().event.entry.name == "d2"
 
 
+@pytest.mark.parametrize("event", [receive_event("x"), resume_event("x")],
+                         ids=["receive", "resume"])
+def test_the_node_never_subscribes_to_itself(event):
+    n = Node()
+    with pytest.raises(NodeError) as exc:
+        n.post_event(NODE_ORIGIN, event)
+    assert exc.value.code == "bad-kind"
+    assert n.subs == {} and n.history.last_seq == 0
+
+
 def test_resume_at_end_of_history_is_appended():
     n = Node()
     add_port(n, "in")

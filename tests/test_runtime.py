@@ -12,7 +12,8 @@ import pytest
 from npckit.apps import build_preset
 from npckit.cli import NpcClient
 from npckit.history import NODE_ORIGIN, REMOVE, TIME, EventHistory, insert_event
-from npckit.model import PORT, PortSpec, document_entry, port_entry
+from npckit.httpd import http_request
+from npckit.model import PORT, PortSpec, document_entry, node_entry, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import Server, ServerConfig
 from npckit.sim import SimRun, apply_stimulus
@@ -35,9 +36,12 @@ def admin_run() -> SimRun:
     return run
 
 
-def insert_port(name: str, behavior: str, config: dict) -> dict:
-    entry = port_entry(name, PortSpec(behavior, config))
+def insert_cmd(entry) -> dict:
     return {"kind": "cmd", "op": "insert", "entry": entry_to_json(entry)}
+
+
+def insert_port(name: str, behavior: str, config: dict) -> dict:
+    return insert_cmd(port_entry(name, PortSpec(behavior, config)))
 
 
 def listed(replies: list) -> list:
@@ -444,6 +448,124 @@ def test_behavior_hooks_are_entered_only_through_the_server_choke_point():
                     and id(node) not in allowed):
                 bypasses.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert bypasses == []
+
+
+# -- a node entry that leaves its table retires its subtree -----------------------------------
+
+SUB = {"name": "sub", "kind": "node", "entries": [
+    ADMIN,
+    {"name": "inner", "kind": "document", "content_text": "deep"},
+    {"name": "g", "kind": "port", "behavior": "gc", "config": {"every": "1"}},
+    {"name": "deeper", "kind": "node", "entries": [ADMIN]},
+]}
+
+
+def subtree_run() -> SimRun:
+    run = SimRun()
+    run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [ADMIN, SUB]}})
+    run.quiesce()
+    run.connect("c", "npc://a:7070/root/admin")
+    run.connect("s", "npc://a:7070/root/sub/admin")
+    run.take_replies("c")
+    assert run.take_replies("s")[0]["kind"] == "hello"
+    return run
+
+
+@pytest.mark.parametrize("how", [
+    {"kind": "cmd", "op": "remove", "name": "sub"},
+    insert_cmd(document_entry("sub", b"flat")),
+    insert_port("sub", "gc", {"every": "1"}),
+], ids=["removed", "by-document", "by-port"])
+def test_a_node_entry_that_leaves_its_table_retires_its_subtree(how):
+    run = subtree_run()
+    s = run.server("a")
+    sub = s.nodes[("root", "sub")]
+    run.send("c", how)
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    assert list(s.nodes) == [("root",)]
+    assert [key for key in s.behaviors if key[0] != ("root",)] == []
+    assert sub.subs == {} and all(node is s.root for _, node in s._ready.ready)
+    # its ports stopped as on a removal: the connection to the inner admin closed
+    assert run.conns["s"].closed
+    for target in ["root/sub/admin", "root/sub/deeper/admin"]:
+        run.connect("x", f"npc://a:7070/{target}")
+        assert run.take_replies("x")[0]["code"] == "not-found"
+    assert http_request(s, "GET", "/root/sub/inner")[0] == 404
+    assert http_request(s, "PUT", "/root/sub/new", b"x")[0] == 404
+    last = sub.history.last_seq
+    run.tick(5)
+    assert sub.history.last_seq == last  # the gc port inside ticks no more
+    assert s.faults == 0
+    run.send("c", insert_cmd(node_entry("sub")))
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    assert s.nodes[("root", "sub")].entries == {}
+    run.send("c", LIST)
+    assert listed(run.take_replies("c")) == ["admin", "sub"]
+
+
+def test_a_node_entry_replaced_by_a_node_entry_keeps_its_subtree():
+    run = subtree_run()
+    s = run.server("a")
+    sub = s.nodes[("root", "sub")]
+    run.send("c", insert_cmd(node_entry("sub", {"note": "again"})))
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    assert s.nodes[("root", "sub")] is sub and "inner" in sub.entries
+    run.send("s", {"kind": "cmd", "op": "get", "name": "inner"})
+    assert run.take_replies("s")[0]["kind"] == "ack"
+    last = sub.history.last_seq
+    run.tick(1)
+    assert sub.history.last_seq > last
+
+
+# -- behaviour paths ----------------------------------------------------------------------------
+
+def test_a_puller_catches_up_in_one_tick_and_skips_its_own_documents_coming_home():
+    home = {"origin-node": "npc://b:7070/root"}
+    docs = [entry_to_json(document_entry(f"d{i}", b"x", meta=home if i == 2 else None))
+            for i in range(5)]
+    run = SimRun()
+    run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [ADMIN] + docs}})
+    run.add_server({"host": "b", "npc_tcp_port": 7070, "root": {"entries": [
+        {"name": "p", "kind": "port", "behavior": "puller",
+         "config": {"source": "npc://a:7070/root/admin", "every": "1", "max": "2"}}]}})
+    run.quiesce()
+    run.tick(1)
+    # two events an ack, so each ack that is not at the end asks again at once
+    pulls = [line for line in run.tracer.lines() if "\tsend\tpull" in line]
+    assert len(pulls) == 3
+    assert sorted(run.server("b").root.entries) == ["d0", "d1", "d3", "d4", "p"]
+    assert run.server("b").behavior_at(("root",), "p").cursor == 6
+    assert run.server("a").faults == run.server("b").faults == 0
+
+
+def test_the_mailing_list_submit_port_admits_pushed_documents_and_refuses_commands():
+    run = SimRun()
+    for cfg in build_preset("mailing-list"):
+        run.add_server(cfg)
+    run.quiesce()
+    run.connect("c", "npc://list:7070/root/submit")
+    assert run.take_replies("c")[0]["kind"] == "hello"
+    run.send("c", {"kind": "event", "event": {
+        "kind": "Insert", "entry": entry_to_json(document_entry("posting", b"hi"))}})
+    assert run.take_replies("c") == []
+    assert "posting" in run.server("list").root.entries
+    run.send("c", LIST)
+    assert [r.get("code") for r in run.take_replies("c")] == ["not-allowed"]
+
+
+def test_a_fetch_is_answered_by_an_insert_that_lands_before_its_turn():
+    run = admin_run()
+    run.connect("w", "npc://a:7070/root/admin")
+    run.take_replies("w")
+    # both reach the server in one pass: the request port spawns and
+    # subscribes, and then the document it wants is inserted
+    run.conns["c"].send({"kind": "cmd", "op": "fetch", "name": "late"})
+    run.conns["w"].send(insert_cmd(document_entry("late", b"here")))
+    run.quiesce()
+    assert [r["kind"] for r in run.take_replies("w")] == ["ack"]
+    answer = run.take_replies("c")[0]
+    assert answer["kind"] == "ack" and base64.b64decode(answer["content_b64"]) == b"here"
+    assert sorted(run.server("a").root.entries) == ["admin", "late"]
 
 
 # -- a port's timers retire with it ---------------------------------------------------------
