@@ -538,7 +538,8 @@ class QueryBehavior(Answering):
             return
         entries = self.ctx.node.entries
         # a required equality on a field of the entry narrows the candidates
-        # to the entries that have that value
+        # to the entries that have that value; a filter that is nothing but
+        # that equality is decided by the lookup, which reads the same field
         atom = access_predicate(f, ("meta.", "entry.name", "entry.kind"))
         names = entries if atom is None else self.ctx.node.entries_with(atom.field, atom.literal)
         for name in sorted(names):
@@ -546,7 +547,7 @@ class QueryBehavior(Answering):
             if entry.kind != DOCUMENT:
                 continue
             ev = insert_event(entry)
-            if eval_filter(f, ev):
+            if f is atom or eval_filter(f, ev):
                 self.count += 1
                 if self.conn is not None:
                     self.conn.send({"kind": EVENT, "event": ev})

@@ -16,11 +16,12 @@ import base64
 from http import HTTPStatus
 from urllib.parse import unquote, urlsplit
 
+from . import wire
 from .behaviors import request_spec
 from .gateways import Conn, TcpConn
 from .history import NODE_ORIGIN, insert_event, remove_event
 from .model import DOCUMENT, document_entry, port_entry, valid_name
-from .wire import MAX_BODY
+from .ports import admission_fault
 
 MAX_HEAD = 65536  # request line and header fields, in bytes
 NOT_FOUND = (404, [], b"not found\n")
@@ -109,6 +110,9 @@ def _serve(server, method: str, raw_path: str, body: bytes, content_type, conn):
             # only documents are visible here: a PUT never replaces a port
             return NOT_FOUND
         entry = document_entry(name, body, content_type or "application/octet-stream")
+        fault = admission_fault(entry)
+        if fault is not None:  # with no metadata, only its size can be at fault
+            return 413, [], f"{fault[2]}\n".encode()
         node.post_event(NODE_ORIGIN, insert_event(entry))
         return 201, [], b"created\n"
 
@@ -173,7 +177,7 @@ class HttpConn(TcpConn):
             if self._head is None:
                 self.respond((400, [], b"bad request\n"))
                 return
-            if self._head[3] > MAX_BODY:
+            if self._head[3] > wire.MAX_BODY:
                 self.respond((413, [], b"body too large\n"))
                 return
             del self._in[:end + 4]

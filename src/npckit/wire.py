@@ -9,7 +9,9 @@ ones.  Bodies over 16 MiB are refused before the body is read.
 A message handed to ``encode_frame`` may carry ``Event`` and ``Entry``
 values, alone or in a list.  Their JSON is spliced into the body: an entry
 is encoded once, and its text is kept on the (immutable) entry for every
-later frame.  The body is byte for byte what the ``event_to_json`` and
+later frame.  A message that is one event and nothing else, as every query
+result and pushed event is, is written as constant bytes around the
+event's.  The body is byte for byte what the ``event_to_json`` and
 ``entry_to_json`` dicts would give.
 """
 
@@ -127,10 +129,19 @@ def _body(body: dict) -> bytes:
     return b"".join(parts)
 
 
+# a frame that carries one event and nothing else, as every query result
+# and pushed event is: only the event varies
+_EVENT_HEAD = b'{"event":'
+_EVENT_TAIL = b',"kind":"event","v":%d}' % VERSION
+
+
 def encode_frame(msg: dict) -> bytes:
     """Serialize a message dict (without ``v``; it is added here).  A value
     may be an ``Event`` or ``Entry``, or a list of them."""
-    data = _body({**msg, "v": VERSION})
+    if len(msg) == 2 and msg.get("kind") == EVENT and type(msg.get("event")) is Event:
+        data = _EVENT_HEAD + event_bytes(msg["event"]) + _EVENT_TAIL
+    else:
+        data = _body({**msg, "v": VERSION})
     if len(data) > MAX_BODY:
         raise WireError("oversize", f"{len(data)} byte body")
     return struct.pack(">I", len(data)) + data
@@ -256,6 +267,25 @@ def _get_filter(d: dict, key: str) -> FilterExpr:
 
 def content_b64(doc: Document) -> str:
     return base64.b64encode(doc.content).decode("ascii")
+
+
+# the body of a ``get`` reply for a document whose strings are all empty
+_GET_REPLY_EMPTY = len(b'{"entry":{"content_b64":"","kind":"document","media_type":"",'
+                       b'"meta":{},"name":""},"kind":"ack","v":1}')
+
+
+def get_reply_bound(doc: Entry) -> int:
+    """An upper bound on the body of the ``get`` reply that carries the
+    document ``doc``, from lengths alone, with nothing encoded.  Its content
+    counts exactly: base64 writes n bytes as 4 * ceil(n / 3).  Each
+    character of its name, media type and metadata counts 6 bytes, the most
+    JSON text takes for one (``\\u001f``), and each metadata item 6 more
+    for its quotes, colon and comma."""
+    meta, payload = doc.meta, doc.payload
+    chars = len(doc.name) + len(payload.media_type)
+    if meta:  # the sums cost more than the rest: a document without metadata skips them
+        chars += len(meta) + sum(map(len, meta)) + sum(map(len, meta.values()))
+    return _GET_REPLY_EMPTY + (len(payload.content) + 2) // 3 * 4 + 6 * chars
 
 
 def entry_to_json(entry: Entry) -> dict:

@@ -1,17 +1,22 @@
 """One admission rule for every entry, on every path into a node.
 
-``ports.admission_fault`` holds the rules: reserved metadata keys parse, a
-port's behavior is registered, and each config key its behavior declares
-parses.  A command, a push, a config file and a pulled event all ask it,
-and a refusal changes nothing.
+``ports.admission_fault`` holds the rules: a document fits in its own
+``get`` reply, reserved metadata keys parse, a port's behavior is
+registered, and each config key its behavior declares parses.  A command,
+a push, a config file, a pulled event and an HTTP PUT all ask it, and a
+refusal changes nothing.
 """
+
+import base64
 
 import pytest
 
+from npckit import wire
 from npckit.apps import build_preset
 from npckit.history import INSERT, REMOVE
-from npckit.model import PORT
-from npckit.ports import BEHAVIORS, Behavior
+from npckit.httpd import http_request
+from npckit.model import PORT, document_entry
+from npckit.ports import BEHAVIORS, Behavior, admission_fault
 from npckit.server import ConfigError, ServerConfig
 from npckit.sim import SimRun
 
@@ -102,12 +107,13 @@ def over_a_channel(path: str, entry: dict, fault) -> None:
     if fault is None:
         assert [r["kind"] for r in replies] == (["ack"] if path == "cmd" else []), replies
         assert server.root.entries["welcome"].kind == entry["kind"]
-        return
+        return run
     reply, = replies
     assert (reply["kind"], reply["code"]) == ("error", fault[1]), reply
     assert fault[0].split(".")[-1] in reply["message"]
     assert server.root.entries == table
     assert server.root.history.last_seq == last
+    return run
 
 
 def from_a_config_file(entry: dict, fault) -> None:
@@ -182,3 +188,60 @@ def test_the_admin_port_never_replaces_or_removes_itself_through_its_own_connect
     run.send("c", {"kind": "cmd", "op": "list"})
     reply, = run.take_replies("c")
     assert [e["name"] for e in reply["entries"]] == ["admin", "welcome"]
+
+
+SMALL_BODY = 4096  # wire.MAX_BODY in the size tests, so a document over it stays small
+
+
+def most_content(media_type: str) -> int:
+    """The most bytes of content a document ``welcome`` of ``media_type``,
+    with no metadata, may hold under ``SMALL_BODY``."""
+    fits = lambda n: admission_fault(document_entry("welcome", b"x" * n, media_type)) is None
+    low, high = 0, SMALL_BODY  # fits(low), not fits(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low
+
+
+@pytest.mark.parametrize("size", ["fits", "one-byte-over"])
+@pytest.mark.parametrize("path", ["cmd", "push", "config", "http"])
+def test_a_document_too_big_for_its_own_get_reply_is_refused(monkeypatch, path, size):
+    """A stored document can always be read back: one whose ``get`` reply
+    could not be framed is refused on the way in, and the largest one
+    admitted is served by ``get``, ``fetch`` and HTTP GET."""
+    monkeypatch.setattr(wire, "MAX_BODY", SMALL_BODY)
+    media = "text/plain" if path == "http" else ""
+    n = most_content(media) + (size == "one-byte-over")
+    content = b"x" * n
+    entry = {"name": "welcome", "kind": "document", "meta": {}, "media_type": media,
+             "content_b64": base64.b64encode(content).decode("ascii")}
+    fault = None if size == "fits" else ("content_b64", "oversize")
+    if path == "config":
+        from_a_config_file(entry, fault)
+        return
+    if path == "http":
+        run = doc_server()
+        server = run.server("web")
+        table, last = dict(server.root.entries), server.root.history.last_seq
+        status, _, _ = http_request(server, "PUT", "/root/welcome", content, media)
+        assert status == (201 if fault is None else 413)
+        if fault is not None:
+            assert server.root.entries == table
+            assert server.root.history.last_seq == last
+    else:
+        run = over_a_channel(path, entry, fault)
+    if fault is None:
+        server = run.server("web")
+        assert server.root.entries["welcome"].payload.content == content
+        # the content counts exactly: the reply is as big as it can be, save
+        # the five bytes a character of the name or media type is counted over
+        reply = wire.encode_frame({"kind": "ack", "entry": server.root.entries["welcome"]})
+        assert SMALL_BODY - 4 < len(reply) - 4 + 5 * len("welcome" + media) <= SMALL_BODY
+        assert http_request(server, "GET", "/root/welcome")[::2] == (200, content)
+        run.send("c", {"kind": "cmd", "op": "get", "name": "welcome"})
+        (got,) = run.take_replies("c")
+        assert got["kind"] == "ack" and got["entry"]["content_b64"] == entry["content_b64"]
+        run.send("c", {"kind": "cmd", "op": "fetch", "name": "welcome"})
+        assert run.take_replies("c")[0]["content_b64"] == entry["content_b64"]
+    assert run.server("web").faults == 0

@@ -2,7 +2,9 @@
 
 Time is too noisy to pin this, so work is counted: calls of
 ``eval_filter`` (each top-level evaluation once), history events read
-(what ``EventHistory.since`` hands out) and ``Node.deliver_step`` calls.
+(what ``EventHistory.since`` hands out), documents a behaviour reads as
+candidates (each ``insert_event`` of a document in ``behaviors``) and
+``Node.deliver_step`` calls.
 Each path is run at N and at 4N documents, every one of which is also an
 event in the history, and its counts per operation must agree within
 ``SLACK``.  Delivery is run the same way at S and at 4S subscriptions that
@@ -15,7 +17,7 @@ import pytest
 
 from npckit import behaviors, filters, gateways, history, node
 from npckit.history import EventHistory
-from npckit.model import document_entry
+from npckit.model import DOCUMENT, document_entry
 from npckit.node import Node
 from npckit.sim import SimRun
 from npckit.wire import entry_to_json
@@ -30,6 +32,7 @@ PER_TOPIC = 10  # a local query matches this many documents, whatever the table'
 def counting(monkeypatch) -> Counter:
     counts = Counter()
     real_eval, real_since, real_step = behaviors.eval_filter, EventHistory.since, Node.deliver_step
+    real_insert = behaviors.insert_event
 
     nesting = [0]
 
@@ -46,6 +49,10 @@ def counting(monkeypatch) -> Counter:
             counts["events_read"] += 1
             yield ev
 
+    def insert_event(entry, *args):
+        counts["documents_read"] += entry.kind == DOCUMENT
+        return real_insert(entry, *args)
+
     def deliver_step(self, *args, **kwargs):
         counts["deliver_step"] += 1
         return real_step(self, *args, **kwargs)
@@ -55,6 +62,7 @@ def counting(monkeypatch) -> Counter:
     for module in (behaviors, filters, gateways, history, node):
         monkeypatch.setattr(module, "eval_filter", evaluated)
     monkeypatch.setattr(EventHistory, "since", since)
+    monkeypatch.setattr(behaviors, "insert_event", insert_event)
     monkeypatch.setattr(Node, "deliver_step", deliver_step)
     return counts
 
@@ -132,6 +140,7 @@ def local_query(run, i):
     """Counted per result: a table of any size holds ``PER_TOPIC``."""
     replies = ask(run, {"kind": "cmd", "op": "query", "query": f'meta.topic == "t{i % 10}"'})
     (done,) = [r for r in replies if r["kind"] == "ack"]
+    assert done["count"] == PER_TOPIC
     return done["count"]
 
 
@@ -152,7 +161,7 @@ def per_op(monkeypatch, path, n: int, s: int = 0) -> dict:
 
 
 def assert_flat(small: dict, large: dict) -> None:
-    for key in ("eval_filter", "events_read", "deliver_step"):
+    for key in ("eval_filter", "events_read", "documents_read", "deliver_step"):
         assert abs(small.get(key, 0) - large.get(key, 0)) <= SLACK, (key, small, large)
 
 

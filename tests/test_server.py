@@ -432,17 +432,28 @@ def test_admin_query_local_streams_matches():
 
 
 def test_admin_query_local_reads_only_the_candidate_documents(monkeypatch):
+    """A required equality narrows the documents a local query reads to the
+    entries with that value; a filter that is only that equality is not
+    evaluated again."""
     from npckit import behaviors
     net = LoopbackNetwork()
     s = make_server(net, entries=[ADMIN] + [doc(f"d{i:04d}", "x", topic=f"t{i % 100}")
                                             for i in range(1000)])
     client = FakeClient()
-    evaluated = []
-    real_eval = behaviors.eval_filter
+    read, evaluated = [], []
+    real_insert, real_eval = behaviors.insert_event, behaviors.eval_filter
+
+    def insert_event(entry, *args):
+        if entry.kind == DOCUMENT:
+            read.append(entry.name)
+        return real_insert(entry, *args)
+
+    monkeypatch.setattr(behaviors, "insert_event", insert_event)
     monkeypatch.setattr(behaviors, "eval_filter",
                         lambda f, ev: evaluated.append(ev.entry.name) or real_eval(f, ev))
 
     def query(text):
+        read.clear()
         evaluated.clear()
         conn = connect(net, client, s)
         conn.send({"kind": "cmd", "op": "query", "query": text})
@@ -452,7 +463,8 @@ def test_admin_query_local_reads_only_the_candidate_documents(monkeypatch):
 
     wanted = 'meta.topic == "t7" and entry.name < "d0500"'
     assert query(wanted) == ["d0007", "d0107", "d0207", "d0307", "d0407"]
-    assert len(evaluated) == 10  # the ten documents of topic t7
+    assert len(read) == len(evaluated) == 10  # the ten documents of topic t7
+    assert len(query('meta.topic == "t7"')) == len(read) == 10 and evaluated == []
     # the lookup follows later inserts, replacements and removals
     root = s.root
     root.post_event(NODE_ORIGIN, insert_event(document_entry("d0001", b"y", meta={"topic": "t7"})))
@@ -462,10 +474,10 @@ def test_admin_query_local_reads_only_the_candidate_documents(monkeypatch):
                                                          meta={"topic": "t7"})))
     s.settle()
     assert query(wanted) == ["d0001", "d0007", "d0307", "d0407"]
-    assert query('entry.name == "d0042"') == ["d0042"] and len(evaluated) == 1
+    assert query('entry.name == "d0042"') == read == ["d0042"] and evaluated == []
     # no required equality: every document is a candidate
     assert len(query('meta.topic == "t7" or meta.topic == "t8"')) == 20
-    assert len(evaluated) == 998
+    assert len(read) == len(evaluated) == 998
 
 
 def spawn_mediated_query(s, q):

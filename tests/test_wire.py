@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from conftest import rand_event, rand_filter
+from npckit import wire
 from npckit.behaviors import tagged_with_origin
 from npckit.filters import Cmp, parse_filter, print_filter
 from npckit.history import Event, INSERT, KINDS, REMOVE, insert_event
@@ -360,6 +361,50 @@ def test_events_and_entries_encode_to_the_bytes_of_their_dicts(rng):
         assert encode_frame(dicts) == expected
         assert encode_frame(msg) == expected
         assert encode_frame(msg) == expected  # again, from the entries' kept bytes
+
+
+def framed_json(msg: dict) -> bytes:
+    """The frame of ``msg`` as ``json.dumps`` writes its dicts."""
+    body = json.dumps({**{k: as_dicts(v) for k, v in msg.items()}, "v": 1}, sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return struct.pack(">I", len(body)) + body
+
+
+def test_an_event_frame_is_its_events_bytes_between_constants(rng, monkeypatch):
+    """A message that is one event and nothing else skips the general path,
+    and its frame is byte for byte the one that path writes; one with
+    another key, or of another kind, takes the general path."""
+    general = []
+    body = wire._body
+    monkeypatch.setattr(wire, "_body", lambda msg: general.append(msg) or body(msg))
+    for _ in range(600):
+        ev = rand_any_event(rng)
+        ev = rng.choice([ev, ev._replace(seq=0, created_at=0), insert_event(rand_any_entry(rng))])
+        msg = {"kind": "event", "event": ev}
+        frame = encode_frame(msg)
+        assert general == []
+        data = body({**msg, "v": 1})
+        assert frame == struct.pack(">I", len(data)) + data == framed_json(msg)
+        for other in ({**msg, rand_text(rng): rand_plain(rng)},
+                      {**msg, "kind": rng.choice(["ack", "error", rand_text(rng)])},
+                      {**msg, "event": event_to_json(ev)}):
+            assert encode_frame(other) == framed_json(other)
+            assert len(general) == 1
+            general.clear()
+
+
+def test_a_get_reply_is_never_larger_than_its_bound_and_its_content_counts_exactly(rng):
+    for _ in range(300):
+        doc = document_entry(rand_text(rng) or "n", rng.randbytes(rng.randrange(0, 40)),
+                             rand_text(rng), rand_meta(rng))
+        slack = {}
+        for extra in range(4):
+            grown = document_entry(doc.name, doc.payload.content + b"x" * extra,
+                                   doc.payload.media_type, doc.meta)
+            reply = encode_frame({"kind": "ack", "entry": grown})
+            slack[extra] = wire.get_reply_bound(grown) - (len(reply) - 4)
+        assert min(slack.values()) >= 0
+        assert len(set(slack.values())) == 1, slack  # content is never over-counted
 
 
 def test_a_document_keeps_its_bytes_and_a_port_does_not():
