@@ -506,7 +506,8 @@ class QueryBehavior(Answering):
     translator ports watching for query ports: each relevant translator
     spawns a wrapper port, wrappers post result documents tagged reply-to,
     and this port streams them out, cleaning up as it goes.  The query is
-    complete when every wrapper has retired.  A query that retires before
+    complete when every wrapper has retired, or, when no translator took
+    it up, once every translator has seen it.  A query that retires before
     then, aborted or hung up on, removes its wrappers and unsent results."""
 
     resume_on_suspend = True
@@ -516,7 +517,6 @@ class QueryBehavior(Answering):
         super().__init__(ctx)
         self.mode = self.ctx.config.get("mode", "local")
         self.count = 0
-        self.seen_wrapper = False
         self.live_wrappers: set[str] = set()
         self.sent: set[str] = set()
 
@@ -528,6 +528,17 @@ class QueryBehavior(Answering):
         self.ctx.receive("results", And(_type_is(INSERT), And(_kind_is(DOCUMENT), mine)))
         self.ctx.receive("wrappers", And(Or(_type_is(INSERT), _type_is(REMOVE)),
                                          And(_kind_is(PORT), mine)))
+        self.ctx.defer("_seen_by_translators")
+
+    def _seen_by_translators(self) -> None:
+        # deferred work runs after the pass's deliveries, so every translator
+        # has been offered this port and every wrapper it spawned has been
+        # seen, unless the pass stopped at its step limit with deliveries
+        # still due on this node
+        if self.ctx.node.has_ready():
+            self.ctx.defer("_seen_by_translators")
+        else:
+            self._maybe_finish()
 
     def _run_local(self) -> None:
         entry = self.ctx.entry
@@ -567,8 +578,7 @@ class QueryBehavior(Answering):
         # done only when every wrapper retired AND every result it posted
         # has been streamed out, which come on separate subscriptions in no
         # set order; one result still pending is enough to keep waiting
-        if (self.seen_wrapper and not self.live_wrappers
-                and next(self._results(), None) is None):
+        if not self.live_wrappers and next(self._results(), None) is None:
             self._complete()
 
     def on_event(self, ev, subscription: str) -> bool:
@@ -587,7 +597,6 @@ class QueryBehavior(Answering):
             self._maybe_finish()
         elif subscription == "wrappers" and ev.entry is not None:
             if ev.kind == INSERT:
-                self.seen_wrapper = True
                 self.live_wrappers.add(ev.entry.name)
             elif ev.kind == REMOVE:
                 self.live_wrappers.discard(ev.entry.name)
@@ -698,9 +707,12 @@ class SubscriberBehavior(Behavior):
     """Mails matching documents to one address, immediately or as a digest.
 
     What "matching" means is entirely the port's input filter; this code
-    only turns deliveries into mail."""
+    only turns deliveries into mail.  With ``digest``, a period in clock
+    units, the names of the documents that matched in a period go out in
+    one mail at its end, on the port's own timer ``digest-<name>``."""
 
     resume_on_suspend = True
+    config_keys = {"digest": positive}
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -708,10 +720,11 @@ class SubscriberBehavior(Behavior):
 
     def on_start(self) -> None:
         self.ctx.receive("docs", And(_type_is(INSERT), _kind_is(DOCUMENT)))
-        digest = self.ctx.config.get("digest", "")
-        if digest:
-            self.ctx.receive("ticks", And(_type_is(TIME),
-                                          Cmp("event.label", "==", digest)))
+        self.digest = self.setting("digest", None)
+        if self.digest is not None:
+            label = f"digest-{self.ctx.name}"
+            self.ctx.schedule(label, every=self.digest)
+            self.ctx.receive("ticks", And(_type_is(TIME), Cmp("event.label", "==", label)))
 
     def _mail(self, subject: str, body: str) -> None:
         stub = self.ctx.stub(self.ctx.config.get("stub", "mail"))
@@ -723,7 +736,7 @@ class SubscriberBehavior(Behavior):
     def on_event(self, ev, subscription: str) -> bool:
         if subscription == "docs" and ev.kind == INSERT and ev.entry is not None:
             body = ev.entry.payload.content.decode("utf-8", errors="replace")
-            if self.ctx.config.get("digest", ""):
+            if self.digest is not None:
                 self.buffer.append(ev.entry.name)
             else:
                 self._mail(ev.entry.name, body)
@@ -748,7 +761,7 @@ class SubscriberManagerBehavior(Behavior):
     ``submit`` is a channel endpoint that only lets document events in."""
 
     resume_on_suspend = True
-    config_keys = {"topic_filter": optional_filter}
+    config_keys = {"topic_filter": optional_filter, "digest": positive}
 
     def on_start(self) -> None:
         if self.ctx.config.get("role", "manage") == "manage":

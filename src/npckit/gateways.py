@@ -331,9 +331,6 @@ class RepoStub:
         self.queries: list[str] = []
         self.aborted: list[str] = []
 
-    def add(self, entry) -> None:
-        self.entries.append(entry)
-
     def query(self, filter_text: str) -> list:
         self.queries.append(filter_text)
         f = parse_filter(filter_text)

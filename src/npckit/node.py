@@ -473,6 +473,10 @@ class Node:
             else:
                 ring.discard(ticket)
 
+    def has_ready(self) -> bool:
+        """Whether some subscription has a delivery due."""
+        return bool(self._ring.ready)
+
     def deliver_step(self) -> Delivered | None:
         """Deliver at most one event to the next ready subscription in ring
         order; returns None when no subscription is ready.

@@ -20,6 +20,7 @@ from typing import Callable
 
 from . import wire
 from .filters import FilterError, FilterExpr, parse_filter
+from .firewall import FirewallError, parse_rules
 from .history import NODE_ORIGIN, receive_event, remove_event, resume_event
 from .model import DOCUMENT, PORT, EntryUrl, parse_url, valid_name
 from .node import NodeError, TimerSpec
@@ -106,7 +107,7 @@ class PortContext:
         return ok
 
     def stub(self, name: str):
-        return self.server.stub(name, requester=self.name)
+        return self.server.stub(name)
 
     def trace(self, action: str, detail: str, *args) -> None:
         """Trace ``detail``, formatted with ``args`` when there are any, as
@@ -120,7 +121,8 @@ class Behavior:
     """Base class: a port that never reacts to anything.
 
     The constructor only stores; reading the config and anything else that
-    can fail belongs in ``on_start``, where a failure retires the port."""
+    can fail belongs in ``on_start``.  A constructor or hook that raises
+    retires the port."""
 
     # A node-issued Suspend means "caught up".  When true, the runtime
     # answers it with a Resume of that subscription instead of delivering
@@ -177,15 +179,14 @@ def _entry_name(text: str) -> str:
     return text
 
 
-# the metadata keys with a kit-defined meaning, each with its parser; not
-# here: query and firewall (read by the ports using them), exclusive (any text)
+# the metadata keys the kit reads, each with the parser it reads them with;
+# not here: query (a query port answers a bad one), exclusive (any text)
 RESERVED_META: dict[str, Callable[[str], object]] = {
     # the URL of the node a replica came from; a node's replicas all name it
     "origin-node": lru_cache(maxsize=1024)(parse_url),
-    "priority": int,  # orders candidates for exclusive consumption
     "reply-to": _entry_name,  # the port a result entry is for
-    "input-filter": parse_filter,
-    "output-filter": parse_filter,
+    # a port's own firewall rules, after the server's (a shared list: never extend it)
+    "firewall": lru_cache(maxsize=1024)(parse_rules),
 }
 
 
@@ -214,7 +215,7 @@ def admission_fault(entry) -> tuple[str, str, str] | None:
     for field, parse, text in fields:
         try:
             parse(text)
-        except (ValueError, FilterError) as e:
+        except (ValueError, FilterError, FirewallError) as e:
             return field, "invalid-entry", f"{field} does not parse: {text!r} ({e})"
     return None
 

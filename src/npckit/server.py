@@ -15,6 +15,7 @@ import selectors
 import threading
 import time
 import traceback
+from dataclasses import dataclass, field
 from functools import partial
 
 from .filters import parse_filter  # noqa: F401  (wrapped by name in bench/spans.py)
@@ -24,8 +25,8 @@ from .history import NODE_ORIGIN, SUSPEND, insert_event
 from .httpd import HttpConn
 from .model import DOCUMENT, Entry, EntryUrl, NODE, UrlError, parse_url, valid_name
 from .node import Node, ReadyRing
-from .ports import BEHAVIORS, PortContext, admission_fault
-from .wire import BYE, ERROR, HELLO, WireError, entry_from_json, get_int
+from .ports import BEHAVIORS, RESERVED_META, PortContext, admission_fault
+from .wire import BYE, ERROR, HELLO, WireError, check_text, entry_from_json, get_int
 from . import behaviors as _stock_behaviors  # noqa: F401  (fills BEHAVIORS)
 
 
@@ -40,19 +41,16 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+@dataclass
 class ServerConfig:
-    def __init__(self, host: str, npc_tcp_port: int = 7070, http_port: int | None = None,
-                 firewall_text: str = "", max_history: int | None = None, root_name: str = "root",
-                 entries: list | None = None, stubs: dict | None = None):
-        self.host = host.lower()
-        self.npc_tcp_port = npc_tcp_port
-        self.http_port = http_port
-        self.firewall_text = firewall_text
-        self.rules = parse_rules(firewall_text)
-        self.max_history = max_history
-        self.root_name = root_name
-        self.entries = entries or []
-        self.stubs = stubs or {}
+    host: str
+    npc_tcp_port: int = 7070
+    http_port: int | None = None
+    rules: list = field(default_factory=list)  # the firewall's
+    max_history: int | None = None
+    root_name: str = "root"
+    entries: list = field(default_factory=list)  # (Entry, children) pairs
+    stubs: dict = field(default_factory=dict)  # name -> (type, a repo's documents)
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "config") -> "ServerConfig":
@@ -60,13 +58,18 @@ class ServerConfig:
         host = d.get("host")
         _require(isinstance(host, str) and host, f"{path}.host", "required string")
         try:
+            check_text(d)
             port = get_int(d, "npc_tcp_port", 7070, 0, 65535)
             http_port = get_int(d, "http_port", None, 0, 65535)
             max_history = get_int(d, "max_history", None, 1)
         except WireError as e:
             raise _config_error(path, e) from None
-        firewall_text = d.get("firewall", "")
-        _require(isinstance(firewall_text, str), f"{path}.firewall", "rule text")
+        firewall = d.get("firewall", "")
+        _require(isinstance(firewall, str), f"{path}.firewall", "rule text")
+        try:
+            rules = parse_rules(firewall)
+        except FirewallError as e:
+            raise ConfigError(f"{path}.firewall", str(e)) from None
         root = d.get("root", {})
         _require(isinstance(root, dict), f"{path}.root", "must be an object")
         root_name = root.get("name", "root")
@@ -77,8 +80,19 @@ class ServerConfig:
                    for i, e in enumerate(raw_entries)]
         stubs = d.get("stubs", {})
         _require(isinstance(stubs, dict), f"{path}.stubs", "must be an object")
-        return cls(host, port, http_port, firewall_text, max_history,
-                   root_name, entries, stubs)
+        return cls(host.lower(), port, http_port, rules, max_history, root_name, entries,
+                   {name: parse_stub(spec, f"{path}.stubs.{name}")
+                    for name, spec in stubs.items()})
+
+
+def parse_stub(spec, path: str) -> tuple[str, list]:
+    """A stub definition as (type, the documents of a ``repo`` stub)."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    _require(kind in ("mail", "repo"), path, f"unknown stub type {kind!r}")
+    docs = spec.get("documents", []) if kind == "repo" else []
+    _require(isinstance(docs, list), f"{path}.documents", "must be a list")
+    return kind, [parse_entry_def(doc, f"{path}.documents[{i}]")[0]
+                  for i, doc in enumerate(docs)]
 
 
 def _config_error(path: str, e: WireError) -> ConfigError:
@@ -124,7 +138,6 @@ class Server:
         self._deferred: list[tuple] = []
         self.faults = 0
         self.inbound: collections.deque = collections.deque()
-        self.stubs: dict[str, object] = {}
         self._query_counter = 0
         self._ready = ReadyRing()  # of nodes, ticketed in creation order
         self._tickets = 0
@@ -177,18 +190,8 @@ class Server:
         return node
 
     def _boot(self) -> None:
-        for name, spec in self.config.stubs.items():
-            kind = spec.get("type") if isinstance(spec, dict) else None
-            if kind == "mail":
-                self.stubs[name] = MailStub(name)
-            elif kind == "repo":
-                repo = RepoStub(name)
-                for i, doc in enumerate(spec.get("documents", [])):
-                    entry, _ = parse_entry_def(doc, f"config.stubs.{name}.documents[{i}]")
-                    repo.add(entry)
-                self.stubs[name] = repo
-            else:
-                raise ConfigError(f"config.stubs.{name}", f"unknown stub type {kind!r}")
+        self.stubs = {name: MailStub(name) if kind == "mail" else RepoStub(name, docs)
+                      for name, (kind, docs) in self.config.stubs.items()}
         self.root = self._make_node((self.config.root_name,))
         self._populate(self.root, self.config.entries)
 
@@ -228,7 +231,13 @@ class Server:
                                         f"unknown behavior {entry.payload.behavior!r}")
             return
         attachment = node.attachments.pop(entry.name, None)
-        b = cls(PortContext(self, node, entry.name, attachment))
+        ctx = PortContext(self, node, entry.name, attachment)
+        try:
+            b = cls(ctx)
+        except Exception as e:  # as a hook that raises: traced, counted, retired
+            self._fault(ctx.trace, "__init__", e)
+            ctx.self_remove()
+            return
         key = (node.path, entry.name)
         self.behaviors[key] = b
         node.sinks[entry.name] = partial(self._hook, b, "on_event")
@@ -295,8 +304,8 @@ class Server:
         self.inbound.append((conn, msg))
 
     def accept_conn(self, conn, peer_host: str | None = None) -> bool:
-        if peer_host is not None and not self.allow_inbound(peer_host, self.advertised_port,
-                                                            "npc-tcp"):
+        if peer_host is not None and not self.admits(IN, peer_host, self.advertised_port,
+                                                     "npc-tcp"):
             conn.close()
             return False
         self._trace("accept", conn.label)
@@ -306,7 +315,7 @@ class Server:
         """Admit a socket a listener accepted, npc-tcp and HTTP alike: the
         inbound rules see its peer, the local port it came in on and the
         listener's ``protocol``."""
-        if not self.allow_inbound(addr[0], sock.getsockname()[1], protocol):
+        if not self.admits(IN, addr[0], sock.getsockname()[1], protocol):
             sock.close()
             return
         make_conn(sock, addr)
@@ -314,11 +323,15 @@ class Server:
     def _npc_conn(self, sock, addr) -> None:
         self.accept_conn(TcpConn(f"tcp:{addr[0]}:{addr[1]}", sock, self.enqueue, self._selector))
 
-    def allow_inbound(self, host: str, port: int, protocol: str) -> bool:
-        allowed = check(self.config.rules, IN, host, port, protocol)
-        if not allowed:
-            self._trace("refuse", f"in {host}:{port} {protocol}")
-        return allowed
+    def admits(self, direction: str, host: str, port: int, protocol: str,
+               own_rules: list | None = None) -> bool:
+        """The one firewall decision, traced when it refuses: the server's
+        rules, then those of the port that dials, the first match deciding."""
+        rules = self.config.rules + own_rules if own_rules else self.config.rules
+        if check(rules, direction, host, port, protocol):
+            return True
+        self._trace("refuse", f"{direction} {host}:{port} {protocol}")
+        return False
 
     def dial(self, url_text: str, owner: tuple | None = None):
         try:
@@ -326,19 +339,10 @@ class Server:
         except UrlError:
             self._trace("dial-failed", f"bad url {url_text!r}")
             return None
-        rules = list(self.config.rules)
-        if owner is not None:
-            node = self.nodes.get(owner[0])
-            entry = node.entries.get(owner[1]) if node is not None else None
-            if entry is not None and "firewall" in entry.meta:
-                try:
-                    rules += parse_rules(entry.meta["firewall"])
-                except FirewallError as e:
-                    # a port with broken rules dials nothing
-                    self._trace("refuse", f"bad port rules on {owner[1]}: {e}")
-                    return None
-        if not check(rules, OUT, url.host, url.tcp_port, "npc-tcp"):
-            self._trace("refuse", f"out {url.host}:{url.tcp_port} npc-tcp")
+        node = self.nodes.get(owner[0]) if owner is not None else None
+        entry = node.entries.get(owner[1]) if node is not None else None
+        own_rules = RESERVED_META["firewall"](entry.meta.get("firewall", "")) if entry else None
+        if not self.admits(OUT, url.host, url.tcp_port, "npc-tcp", own_rules):
             return None
         conn = None
         if self.network is not None:
@@ -376,14 +380,9 @@ class Server:
         self._disown(conn)
         conn.close()
 
-    def stub(self, name: str, requester: str = ""):
+    def stub(self, name: str):
         s = self.stubs.get(name)
-        if s is None:
-            return None
-        if not check(self.config.rules, OUT, name, 1, "stub"):
-            self._trace("refuse", f"out {name}:1 stub (from {requester})")
-            return None
-        return s
+        return s if s is not None and self.admits(OUT, name, 1, "stub") else None
 
     # -- inbound dispatch ---------------------------------------------------------------
 

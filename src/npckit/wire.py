@@ -150,6 +150,28 @@ def encode_frame(msg: dict) -> bytes:
 _decoder = json.JSONDecoder()
 
 
+def check_text(value) -> None:
+    """Raise ``malformed`` when a string in ``value``, a decoded JSON value,
+    holds a lone surrogate: a JSON escape such as ``\\ud800`` decodes to
+    one, and no frame can then encode it.  An ASCII string is passed over
+    unencoded."""
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if type(v) is str:
+            if not v.isascii():
+                try:
+                    v.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise WireError("malformed",
+                                    f"text holds a lone surrogate ({e.reason})") from None
+        elif type(v) is dict:
+            todo += v
+            todo += v.values()
+        elif type(v) is list:
+            todo += v
+
+
 def decode_body(data: bytes) -> dict:
     try:
         text = data.decode("utf-8")
@@ -159,6 +181,10 @@ def decode_body(data: bytes) -> dict:
             end = -1
         if end != len(text):  # space around it, trailing data, or no value: the full rules
             body = _decoder.decode(text)
+        # only a \u escape can make a lone surrogate; the search for one
+        # byte is memchr's, so a body with no backslash pays next to nothing
+        if b"\\" in data and b"\\u" in data:
+            check_text(body)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         # RecursionError: nested deeper than the decoder's C core recurses
         raise WireError("malformed", str(e))

@@ -8,6 +8,8 @@ refusal changes nothing.
 """
 
 import base64
+import pathlib
+import re
 
 import pytest
 
@@ -16,7 +18,7 @@ from npckit.apps import build_preset
 from npckit.history import INSERT, REMOVE
 from npckit.httpd import http_request
 from npckit.model import PORT, document_entry
-from npckit.ports import BEHAVIORS, Behavior, admission_fault
+from npckit.ports import BEHAVIORS, RESERVED_META, Behavior, admission_fault
 from npckit.server import ConfigError, ServerConfig
 from npckit.sim import SimRun
 
@@ -39,17 +41,20 @@ CASES = {
     "node": ({"name": "welcome", "kind": "node"}, None),
     "port": (_port("manual"), None),
     "reserved-meta-that-parses": (_doc(**{
-        "origin-node": "npc://other.example:7070/root", "priority": "-3",
-        "reply-to": "query1", "input-filter": 'event.type == "Insert"'}), None),
+        "origin-node": "npc://other.example:7070/root", "reply-to": "query1",
+        "firewall": "deny out *:* *\nallow out web:7070 npc-tcp"}), None),
     "filter-keys-that-parse": (_port("puller", source=SOURCE, every="5", filter=""), None),
     "origin-node-not-a-url": (_doc(**{"origin-node": "not a url"}),
                               ("meta.origin-node", "invalid-entry")),
-    "priority-word": (_doc(priority="high"), ("meta.priority", "invalid-entry")),
-    "priority-text": (_doc(priority="abc"), ("meta.priority", "invalid-entry")),
+    # keys the kit does not read are any text
+    "priority-word": (_doc(priority="high"), None),
+    "priority-text": (_doc(priority="abc"), None),
     "reply-to-not-a-name": (_doc(**{"reply-to": "a/b"}), ("meta.reply-to", "invalid-entry")),
-    "input-filter": (_doc(**{"input-filter": "not ("}), ("meta.input-filter", "invalid-entry")),
-    "output-filter": (_doc(**{"output-filter": "not ("}),
-                      ("meta.output-filter", "invalid-entry")),
+    "input-filter": (_doc(**{"input-filter": "not ("}), None),
+    "output-filter": (_doc(**{"output-filter": "not ("}), None),
+    "port-firewall": ({**_port("forwarder", target=SOURCE),
+                       "meta": {"firewall": "allow sideways *:* *"}},
+                      ("meta.firewall", "invalid-entry")),
     "unknown-behavior": (_port("no-such"), ("behavior", "unknown-behavior")),
     "gc-every-text": (_port("gc", every="abc"), ("config.every", "invalid-entry")),
     "gc-every-negative": (_port("gc", every="-1"), ("config.every", "invalid-entry")),
@@ -245,3 +250,13 @@ def test_a_document_too_big_for_its_own_get_reply_is_refused(monkeypatch, path, 
         run.send("c", {"kind": "cmd", "op": "fetch", "name": "welcome"})
         assert run.take_replies("c")[0]["content_b64"] == entry["content_b64"]
     assert run.server("web").faults == 0
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_admission_table_names_exactly_the_metadata_keys_the_kit_reads():
+    rows = [line for line in README.read_text().splitlines() if line.startswith("| `meta.")]
+    documented = {key for row in rows
+                  for key in re.findall(r"`meta\.([^`]+)`", row.split("|")[1])}
+    assert documented == set(RESERVED_META)

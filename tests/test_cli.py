@@ -105,6 +105,17 @@ def test_npcd_serve_refuses_a_bad_config_with_its_path(tmp_path, capsys):
     assert "config.root.entries[0].input_filter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, where", [
+    ({"firewall": "allow sideways *:* *"}, "config.firewall"),
+    ({"stubs": {"archive": {"type": "repo", "documents": 5}}}, "config.stubs.archive.documents"),
+], ids=["firewall", "stub-documents"])
+def test_npcd_serve_refuses_a_bad_firewall_or_stub_with_its_path(tmp_path, capsys, config, where):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"host": "box", **config}))
+    assert npcd_main(["serve", "--config", str(f)]) == 2
+    assert capsys.readouterr().err.startswith(f"{where}: ")
+
+
 @pytest.mark.parametrize("argv", [["npc", "put", "npc://127.0.0.1:1/root/x", "--meta", "topic"],
                                   ["npcd", "preset", "doc-server", "--param", "host"]],
                          ids=["meta", "param"])

@@ -2,21 +2,25 @@
 
 import ast
 import base64
+import json
 import pathlib
 import selectors
+import struct
 import time
 from contextlib import closing
 
 import pytest
 
+from npckit import gateways
 from npckit.apps import build_preset
 from npckit.cli import NpcClient
+from npckit.filters import parse_filter
 from npckit.history import NODE_ORIGIN, REMOVE, TIME, EventHistory, insert_event
 from npckit.httpd import http_request
 from npckit.model import PORT, PortSpec, document_entry, node_entry, port_entry
 from npckit.ports import BEHAVIORS, Behavior
 from npckit.server import Server, ServerConfig
-from npckit.sim import SimRun, apply_stimulus
+from npckit.sim import SimClient, SimRun, apply_stimulus
 from npckit import wire
 from npckit.wire import entry_to_json
 
@@ -573,7 +577,8 @@ def test_a_fetch_is_answered_by_an_insert_that_lands_before_its_turn():
 @pytest.mark.parametrize("behavior, config, label", [
     ("gc", {"every": "1"}, "gc-p"),
     ("puller", {"every": "1", "source": "npc://nowhere:7070/root/admin"}, "pull-p"),
-], ids=["gc", "puller"])
+    ("subscriber", {"digest": "5"}, "digest-p"),
+], ids=["gc", "puller", "subscriber"])
 def test_removed_port_leaves_no_timer_and_can_be_inserted_again(behavior, config, label):
     run = admin_run()
     root = run.server("a").root
@@ -818,3 +823,154 @@ def test_threads_start_only_in_start_and_sockets_are_read_only_by_connections():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert threads == [] and reads == []
+
+
+# -- a lone surrogate is malformed where frames are decoded ---------------------------------
+
+def ascii_frame(msg: dict) -> bytes:
+    """``msg`` framed as ``json.dumps`` writes it, every character outside
+    ASCII as an escape: as a client's JSON can carry a lone surrogate."""
+    body = json.dumps({**msg, "v": 1}).encode("ascii")
+    return struct.pack(">I", len(body)) + body
+
+
+DOC = {"name": "d", "kind": "document", "content_b64": "", "media_type": "text/plain"}
+
+
+@pytest.mark.parametrize("msg, then", [
+    ({"kind": "event", "event": {"kind": "Insert", "label": "\ud800", "entry": DOC}},
+     {"kind": "cmd", "op": "history"}),
+    ({"kind": "cmd", "op": "insert", "entry": {**DOC, "meta": {"k": "\ud800"}}}, LIST),
+], ids=["pushed-label", "cmd-insert-meta"])
+def test_a_lone_surrogate_ends_only_its_connection(monkeypatch, msg, then):
+    run = admin_run()
+    server = run.server("a")
+    table, last = dict(server.root.entries), server.root.history.last_seq
+    with monkeypatch.context() as m:
+        m.setattr(gateways, "encode_frame", ascii_frame)
+        run.send("c", msg)
+    assert run.conns["c"].closed
+    assert server.root.entries == table and server.root.history.last_seq == last
+    assert server.faults == 0
+    run.connect("again", "npc://a:7070/root/admin")
+    run.take_replies("again")
+    run.send("again", then)  # the request that once faulted on what was posted
+    run.send("again", LIST)
+    assert listed(run.take_replies("again")) == ["admin"]
+    assert server.faults == 0
+
+
+def test_an_escaped_surrogate_pair_is_admitted(monkeypatch):
+    run = admin_run()
+    with monkeypatch.context() as m:
+        m.setattr(gateways, "encode_frame", ascii_frame)
+        run.send("c", {"kind": "cmd", "op": "insert",
+                       "entry": {**DOC, "meta": {"k": "\U0001F600"}}})
+    assert run.take_replies("c")[0]["kind"] == "ack"
+    assert run.server("a").root.entries["d"].meta["k"] == "\U0001F600"
+    run.send("c", LIST)
+    assert listed(run.take_replies("c")) == ["admin", "d"]
+
+
+# -- a behaviour's constructor runs under the same fault handling as its hooks ---------------
+
+class FailsToBuild(Behavior):
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        raise RuntimeError("boom in __init__")
+
+
+def test_a_constructor_that_raises_retires_its_port(monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "fails-to-build", FailsToBuild)
+    run = admin_run()
+    server = run.server("a")
+    run.send("c", insert_port("p1", "fails-to-build", {}))
+    reply, = run.take_replies("c")
+    assert (reply["kind"], reply["code"]) == ("error", "behavior-failed"), reply
+    faults = [line.split("\t")[1:] for line in run.tracer.lines() if "\tfault\t" in line]
+    assert faults == [["a/root:p1", "fault", "__init__: RuntimeError: boom in __init__"]]
+    assert server.faults == 1
+    assert "p1" not in server.root.entries and (("root",), "p1") not in server.behaviors
+    assert retired_by_node(run, "p1")
+    run.send("c", LIST)
+    assert listed(run.take_replies("c")) == ["admin"]
+
+
+def test_a_config_file_boots_without_a_port_whose_constructor_raises(monkeypatch):
+    monkeypatch.setitem(BEHAVIORS, "fails-to-build", FailsToBuild)
+    run = SimRun()
+    server = run.add_server({"host": "a", "root": {"entries": [
+        ADMIN, {"name": "p1", "kind": "port", "behavior": "fails-to-build"}]}})
+    run.quiesce()
+    assert sorted(server.root.entries) == ["admin"] and server.faults == 1
+    assert retired_by_node(run, "p1")
+
+
+# -- a subscriber's digest is a period on its own timer --------------------------------------
+
+def test_a_digest_subscriber_mails_once_a_period_what_matched_in_it():
+    run = SimRun()
+    server = run.add_server({"host": "a", "stubs": {"mail": {"type": "mail"}},
+                             "root": {"entries": [ADMIN]}})
+    run.quiesce()
+    run.connect("c", "npc://a:7070/root/admin")
+    run.send("c", insert_port("s", "subscriber", {"digest": "5", "address": "x@example.org"}))
+    run.send("c", insert_cmd(document_entry("one", b"1")))
+    run.send("c", insert_cmd(document_entry("two", b"2")))
+    outbox = server.stubs["mail"].outbox
+    assert outbox == []
+    run.tick(5)
+    assert outbox == [{"to": "x@example.org", "subject": "digest of 2", "body": "one, two"}]
+    run.tick(5)  # nothing matched in this period
+    assert len(outbox) == 1
+    assert server.faults == 0
+
+
+@pytest.mark.parametrize("digest", ["hourly", "0", ""])
+def test_a_digest_that_is_not_a_period_is_refused(digest):
+    run = admin_run()
+    run.send("c", insert_port("s", "subscriber", {"digest": digest}))
+    reply, = run.take_replies("c")
+    assert (reply["kind"], reply["code"]) == ("error", "invalid-entry")
+    assert "config.digest" in reply["message"]
+
+
+# -- boundary paths -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("target", [5, "npc://a:7070/root"], ids=["not-text", "a-node"])
+def test_a_hello_that_names_no_port_is_refused_and_ends_its_connection(target):
+    run = admin_run()
+    client = SimClient("x")
+    conn = run.network.connect(client, "a", 7070)
+    conn.send({"kind": "hello", "target": target})
+    run.quiesce()
+    reply, bye = client.replies
+    assert (reply["kind"], reply["code"], bye["kind"]) == ("error", "not-found", "bye"), reply
+    assert conn.closed
+    assert run.server("a").faults == 0
+
+
+def test_a_post_the_ports_own_output_filter_refuses_is_traced_and_the_port_runs_on():
+    run = admin_run()
+    server = run.server("a")
+    run.send("c", insert_cmd(port_entry("g", PortSpec("gc", {"every": "1", "max_age": "0"},
+                                                      output_filter=parse_filter("false")))))
+    run.send("c", insert_cmd(document_entry("old", b"x")))
+    assert [r["kind"] for r in run.take_replies("c")] == ["ack", "ack"]
+    run.tick(1)
+    rejected = [line.split("\t")[1:] for line in run.tracer.lines() if "\trejected\t" in line]
+    assert rejected and rejected[0][:2] == ["a/root:g", "rejected"]
+    assert rejected[0][2].startswith("Remove old: ")
+    assert "g" in server.root.entries and "old" in server.root.entries
+    assert server.faults == 0
+
+
+def test_a_forwarder_with_no_channel_drops_each_insert():
+    run = admin_run()
+    run.send("c", insert_port("f", "forwarder", {"target": "npc://nowhere:7070/root/in"}))
+    run.send("c", insert_cmd(document_entry("one", b"1")))
+    run.send("c", insert_cmd(document_entry("two", b"2")))
+    drops = [line.split("\t")[1:] for line in run.tracer.lines() if "\tdrop\t" in line]
+    assert drops == [["a/root:f", "drop", "no channel to npc://nowhere:7070/root/in"]] * 2
+    assert "f" in run.server("a").root.entries
+    assert run.server("a").faults == 0

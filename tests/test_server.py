@@ -1,5 +1,7 @@
 """Server wiring: config parsing, boot, channel routing, admin ops."""
 
+import json
+
 import pytest
 
 from npckit.filters import parse_filter
@@ -125,7 +127,7 @@ def test_config_rejects_bad_entry_name():
 def test_config_rejects_unknown_stub_type():
     with pytest.raises(ConfigError) as e:
         make_server(stubs={"odd": {"type": "teapot"}})
-    assert "stubs.odd" in str(e.value)
+    assert e.value.path == "config.stubs.odd"
 
 
 def test_config_rejects_nonpositive_cursor():
@@ -146,8 +148,14 @@ def test_config_rejects_nonpositive_cursor():
                             "input_filter": 7}]}}, "config.root.entries[0].input_filter"),
     ({"root": {"entries": [{"name": "n", "kind": "node", "entries": [
         {"name": "d", "content_text": 7}]}]}}, "config.root.entries[0].entries[0].content_text"),
+    ({"firewall": ["deny in *:* *"]}, "config.firewall"),
+    ({"stubs": {"odd": "mail"}}, "config.stubs.odd"),
+    ({"stubs": {"archive": {"type": "repo", "documents": 5}}}, "config.stubs.archive.documents"),
+    ({"stubs": {"archive": {"type": "repo", "documents": [{"name": "a b"}]}}},
+     "config.stubs.archive.documents[0].name"),
 ], ids=["http-port-bool", "max-history-bool", "cursor-bool", "receive-flag-text",
-        "filter-not-text", "content-text-not-text"])
+        "filter-not-text", "content-text-not-text", "firewall-not-text", "stub-not-an-object",
+        "stub-documents-not-a-list", "stub-document-name"])
 def test_config_values_follow_the_wire_rules(config, where):
     with pytest.raises(ConfigError) as e:
         ServerConfig.from_dict({"host": "a", **config})
@@ -162,9 +170,34 @@ def test_config_still_loads_with_the_retired_indexed_key():
 
 
 def test_config_rejects_bad_firewall():
-    with pytest.raises(Exception) as e:
+    with pytest.raises(ConfigError) as e:
         ServerConfig.from_dict({"host": "a", "firewall": "allow sideways *:* *"})
-    assert "line 1" in str(e.value)
+    assert e.value.path == "config.firewall" and "line 1" in str(e.value)
+
+
+def test_a_config_is_parsed_whole_when_it_loads():
+    cfg = ServerConfig.from_dict({"host": "a", "firewall": "deny out mail:* stub",
+                                  "stubs": {"mail": {"type": "mail"}, "archive": {
+                                      "type": "repo", "documents": [{"name": "d"}]}}})
+    assert [(r.allow, r.direction, r.host_glob) for r in cfg.rules] == [(False, "out", "mail")]
+    kind, (doc,) = cfg.stubs["archive"]
+    assert (kind, doc.name, cfg.stubs["mail"]) == ("repo", "d", ("mail", []))
+    assert Server(cfg).stubs["archive"].entries == [doc]
+
+
+@pytest.mark.parametrize("escape, refused", [(r"\ud800", True), (r"x\udfffy", True),
+                                             (r"\ud83d\ude00", False)],
+                         ids=["high", "low", "pair"])
+def test_a_config_holding_a_lone_surrogate_is_refused(escape, refused):
+    # as a config file's JSON can carry it
+    config = json.loads('{"host": "a", "root": {"entries": [{"name": "d", "meta": {"k": "%s"}}]}}'
+                        % escape)
+    if not refused:
+        assert ServerConfig.from_dict(config).entries[0][0].meta["k"] == "\U0001F600"
+        return
+    with pytest.raises(ConfigError) as e:
+        ServerConfig.from_dict(config)
+    assert e.value.path == "config" and "surrogate" in str(e.value)
 
 
 # -- boot -------------------------------------------------------------------------
@@ -481,10 +514,10 @@ def test_admin_query_local_reads_only_the_candidate_documents(monkeypatch):
 
 
 def spawn_mediated_query(s, q):
-    """Insert a mediated query port ``q`` and a wrapper port for it."""
+    """Insert a mediated query port ``q`` and a wrapper port for it, before
+    the query's first pass ends and it finds no translator took it up."""
     s.root.post_event(NODE_ORIGIN, insert_event(port_entry(
         q, PortSpec("query", {"mode": "mediated"}), meta={"query": "true"})))
-    s.settle()
     s.root.post_event(NODE_ORIGIN, insert_event(port_entry(
         f"w-{q}", PortSpec("manual"), meta={"reply-to": q})))
     s.settle()
@@ -543,6 +576,45 @@ def test_a_port_that_answers_once_refuses_stray_frames(op, text):
     assert s.faults == 0
 
 
+TRANSLATOR = {"name": "t", "kind": "port", "behavior": "translator",
+              "config": {"accept": "*", "source": "archive"}}
+DONE = {"v": 1, "kind": "ack", "done": True}
+ARCHIVE = {"archive": {"type": "repo", "documents": [{"name": "one"}, {"name": "two"}]}}
+
+
+def mediated_query(s, net, limit=100000) -> list:
+    """Send a mediated query, run passes of at most ``limit`` deliveries
+    until the server is idle, and return the replies."""
+    client = FakeClient()
+    conn = connect(net, client, s)
+    conn.send({"kind": "cmd", "op": "query", "query": "true"})
+    while s.run_once(limit):
+        pass
+    return client.take()
+
+
+@pytest.mark.parametrize("translators", [[], [{**TRANSLATOR, "config": {
+    "accept": "special:*", "source": "archive"}}]], ids=["no-translator", "declining"])
+def test_a_mediated_query_no_translator_takes_up_is_answered_with_no_results(translators):
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[{**ADMIN, "config": {"query_mode": "mediated"}}] + translators,
+                    stubs=ARCHIVE)
+    assert mediated_query(s, net) == [DONE | {"count": 0}, {"v": 1, "kind": "bye"}]
+    assert sorted(s.root.entries) == ["admin"] + [t["name"] for t in translators]
+    assert s.faults == 0
+
+
+def test_a_mediated_query_waits_for_translators_a_short_pass_left_undelivered():
+    net = LoopbackNetwork()
+    s = make_server(net, entries=[{**ADMIN, "config": {"query_mode": "mediated"}}, TRANSLATOR],
+                    stubs=ARCHIVE)
+    replies = mediated_query(s, net, limit=1)
+    assert [r["event"]["entry"]["name"] for r in replies if r["kind"] == "event"] == [
+        "wrap-t-query-1-r0", "wrap-t-query-1-r1"]
+    assert replies[-2:] == [DONE | {"count": 2}, {"v": 1, "kind": "bye"}]
+    assert sorted(s.root.entries) == ["admin", "t"]
+
+
 @pytest.mark.parametrize("ending", ["hang-up", "abort"])
 def test_a_query_that_ends_unfinished_is_torn_down_after_its_own_remove(ending):
     net = LoopbackNetwork()
@@ -550,7 +622,7 @@ def test_a_query_that_ends_unfinished_is_torn_down_after_its_own_remove(ending):
     client = FakeClient()
     conn = connect(net, client, s)
     conn.send({"kind": "cmd", "op": "query", "query": "true"})
-    s.settle()
+    s.pump()  # the query port starts; its first pass has not ended
     s.root.post_event(NODE_ORIGIN, insert_event(port_entry(
         "w", PortSpec("manual"), meta={"reply-to": "query-1"})))
     s.settle()
@@ -670,6 +742,36 @@ def test_stub_access_respects_firewall():
     assert s.stub("mail") is None
     open_s = make_server(stubs={"mail": {"type": "mail"}})
     assert open_s.stub("mail") is not None
+
+
+def test_a_port_posted_with_rules_that_do_not_parse_faults_when_it_dials():
+    # posted past admission, as the sim's post stimulus does
+    net = LoopbackNetwork()
+    a = make_server(net, host="a")
+    make_server(net, host="b", entries=[ADMIN])
+    spec = PortSpec("forwarder", {"target": "npc://b:7070/root/admin"})
+    a.root.post_event(NODE_ORIGIN, insert_event(port_entry(
+        "fwd", spec, meta={"firewall": "allow sideways *:* *"})))
+    a.root.post_event(NODE_ORIGIN, insert_event(document_entry("news", b"fresh")))
+    a.settle()
+    assert a.faults == 1
+    assert "fwd" not in a.root.entries and a.behavior_at(("root",), "fwd") is None
+
+
+def test_every_firewall_decision_is_made_and_traced_in_one_place(monkeypatch):
+    net = LoopbackNetwork()
+    a = make_server(net, host="a", entries=[ADMIN], firewall="deny out mail:* stub",
+                    stubs={"mail": {"type": "mail"}})
+    make_server(net, host="b", entries=[ADMIN], firewall="deny in a:* *")
+    decisions = []
+    admits = Server.admits
+    monkeypatch.setattr(Server, "admits", lambda s, *args: decisions.append(
+        (s.host,) + args) or admits(s, *args))
+    assert a.dial("npc://b:7070/root/admin") is None
+    assert a.stub("mail") is None
+    assert decisions == [("a", "out", "b", 7070, "npc-tcp", None),
+                         ("b", "in", "a", 7070, "npc-tcp"),
+                         ("a", "out", "mail", 1, "stub")]
 
 
 # -- cross-server forwarding ------------------------------------------------------------
@@ -809,6 +911,9 @@ def test_a_mediated_query_port_scans_no_history_when_it_starts():
 
         def query():
             conn.send({"kind": "cmd", "op": "query", "query": "true"})
+            s.pump()  # the query port starts; its first pass has not ended
+            s.root.post_event(NODE_ORIGIN, insert_event(port_entry(
+                "w", PortSpec("manual"), meta={"reply-to": "query-1"})))
             s.settle()
         costs[live] = lines_run([behaviors, node, history], query)
         query_port = s.behavior_at(("root",), "query-1")
@@ -887,7 +992,7 @@ def names_listed_per_result(monkeypatch, k: int) -> int:
     run = SimRun()
     run.add_server(build_preset("mediator")[0])
     for i in range(k):
-        run.server("hub").stubs["archive"].add(document_entry(f"doc{i}", b"x"))
+        run.server("hub").stubs["archive"].entries.append(document_entry(f"doc{i}", b"x"))
     run.quiesce()
     listed = 0
     entries_with = Node.entries_with

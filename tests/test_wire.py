@@ -122,6 +122,24 @@ def test_decode_refuses_anything_but_one_versioned_object(data, code):
     assert decode_body(b' {"v":1,"kind":"bye"}\n') == {"v": 1, "kind": "bye"}
 
 
+@pytest.mark.parametrize("text", [r"\ud800", r"\udc00", r"x\ud83dy", r"\ude00\ud83d"],
+                         ids=["high", "low", "high-alone-in-text", "pair-reversed"])
+@pytest.mark.parametrize("where", ["value", "key"])
+def test_a_lone_surrogate_escape_is_malformed(text, where):
+    body = ('{"v":1,"kind":"cmd","meta":{"k":"%s"}}' if where == "value"
+            else '{"v":1,"kind":"cmd","meta":{"%s":"v"}}') % text
+    with pytest.raises(WireError) as exc:
+        decode_body(body.encode("ascii"))
+    assert exc.value.code == "malformed"
+
+
+def test_escapes_that_decode_to_text_are_admitted():
+    body = rb'{"v":1,"kind":"cmd","pair":"\ud83d\ude00","escaped":"\\ud800","e":"\u00e9"}'
+    got = decode_body(body)
+    assert (got["pair"], got["escaped"], got["e"]) == ("\U0001F600", "\\ud800", "\u00e9")
+    assert decode_body(encode_frame(got)[4:]) == got
+
+
 def test_decode_passes_unknown_kinds_through():
     # the codec stays kind-agnostic so peers can extend the vocabulary
     msg = roundtrip_frame({"kind": "stretch", "x": 1})
