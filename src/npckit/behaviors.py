@@ -22,11 +22,11 @@ from .filters import (TRUE, And, Cmp, FilterError, FilterExpr, Not, Or, access_p
                       eval_filter, glob_match, parse_filter, print_filter)
 from .history import (Event, INSERT, NODE_ORIGIN, REMOVE, SUSPEND, TIME,
                       insert_event, remove_event)
-from .model import (DOCUMENT, PORT, Entry, PortSpec, UrlError, document_entry, parse_url,
-                    port_entry, valid_name)
+from .model import (DOCUMENT, PORT, PortSpec, UrlError, document_entry, parse_url, port_entry,
+                    valid_name)
 from .ports import BEHAVIORS, Behavior, admission_fault, behavior, optional_filter, positive
 from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError, content_b64,
-                   entry_from_json, event_bytes, event_from_json, get_int, room_in)
+                   entry_from_json, event_bytes, event_from_json, get_int, room_in, with_meta)
 
 
 def _type_is(kind: str) -> Cmp:
@@ -54,11 +54,12 @@ def flavor_filter(b: Behavior) -> FilterExpr:
 
 def tagged_with_origin(ev: Event, node_url: str) -> Event:
     """Copy of the event whose entry carries origin-node, unless it already
-    names where it came from."""
+    names where it came from.  The copy's bytes are the original's with
+    the tag spliced in."""
     if ev.entry is None or ev.entry.meta.get("origin-node"):
         return ev
     e = ev.entry
-    return ev._replace(entry=Entry(e.name, {**e.meta, "origin-node": node_url}, e.kind, e.payload))
+    return ev._replace(entry=with_meta(e, {**e.meta, "origin-node": node_url}))
 
 
 def _err(conn, code: str, message: str = "") -> None:

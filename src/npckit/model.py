@@ -115,9 +115,12 @@ class Entry:
     """A named document, subnode or port.
 
     ``meta`` is a read-only view of a private copy of the map it was built
-    from.  ``_wire`` is the entry's JSON text, filled in by the first
-    ``wire`` encoding of a document or node entry; a copy made with
-    ``dataclasses.replace`` starts without it."""
+    from.  ``_wire`` is the whole frame, length prefix included, of the
+    unstamped node-issued Insert of a document or node entry, as a local
+    query streams it: filled in by the first ``wire`` encoding of the entry,
+    or for a copy made by ``wire.with_meta``, spliced from the original's.
+    The entry's JSON is a view into it.  A copy made with ``dataclasses.replace`` starts
+    without it."""
 
     name: str
     meta: Mapping[str, str]

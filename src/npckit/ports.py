@@ -192,16 +192,17 @@ RESERVED_META: dict[str, Callable[[str], object]] = {
 
 def admission_fault(entry) -> tuple[str, str, str] | None:
     """The first rule ``entry`` breaks, as (field, code, message), or None:
-    a document fits in the frame of its own ``get`` reply, each reserved
+    a document fits in the frame of a query result that returns it (which
+    holds more around it than a ``get`` reply), each reserved
     metadata key parses, a port's behavior is registered, and each config
     key its behavior declares parses.  Every path into a node (a command,
     a push, a pull, a config file, an HTTP PUT) asks this, and only this;
     ``wire.entry_from_json`` checked the rest of the shape."""
     if entry.kind == DOCUMENT:
-        size = wire.get_reply_bound(entry)
+        size = wire.result_frame_bound(entry)
         if size > wire.MAX_BODY:
             return ("content_b64", "oversize",
-                    f"content_b64 too big: a get reply of {entry.name!r} could take "
+                    f"content_b64 too big: a query result of {entry.name!r} could take "
                     f"{size} bytes, over the {wire.MAX_BODY} a frame holds")
     fields = [("meta." + key, RESERVED_META[key], text)
               for key, text in entry.meta.items() if key in RESERVED_META]

@@ -7,10 +7,15 @@ kinds are the receiver's problem, which keeps old peers talking to new
 ones.  Bodies over 16 MiB are refused before the body is read.
 
 A message handed to ``encode_frame`` may carry ``Event`` and ``Entry``
-values, alone or in a list.  Their JSON is spliced into the body: an entry
-is encoded once, and its text is kept on the (immutable) entry for every
-later frame.  A message that is one event and nothing else, as every query
-result and pushed event is, is written as constant bytes around the
+values, alone or in a list.  Their JSON is spliced into the body.  A
+document or node entry is encoded once: it keeps the whole frame of the
+unstamped node-issued Insert that a local query streams it in, length
+prefix included, and that frame is the answer for such a message.  Every
+other frame that carries the entry splices in its JSON, a view into the
+kept frame.  A copy of an entry with other metadata, as a replica tagged
+with ``origin-node`` is, gets its frame by splicing its metadata into the
+original's (``with_meta``).  A message that is one event and nothing else,
+as every pushed event is, is written as constant bytes around the
 event's.  The body is byte for byte what the ``event_to_json`` and
 ``entry_to_json`` dicts would give.
 """
@@ -58,31 +63,78 @@ def room_in(msg: dict) -> int:
     return MAX_BODY - len(_body({**msg, "v": VERSION}))
 
 
-def entry_bytes(entry: Entry) -> bytes:
-    """The JSON of ``entry_to_json(entry)``.  A document's or node's is
-    kept on the entry the first time; a port's is encoded afresh, since
-    its spec may change."""
-    data = entry._wire
-    if data is None:
-        data = _json(entry_to_json(entry))
+# the frame a local query streams an entry in: an unstamped node-issued
+# Insert of it, and nothing else, where only the entry's JSON varies
+_EVENT_HEAD = b'{"event":'
+_EVENT_TAIL = b',"kind":"event","v":%d}' % VERSION
+_RESULT_HEAD = _EVENT_HEAD + b'{"created_at":0,"entry":'
+_RESULT_TAIL = b',"kind":"Insert","origin_port":"@node","seq":0}' + _EVENT_TAIL
+_AT, _END = 4 + len(_RESULT_HEAD), -len(_RESULT_TAIL)  # where the entry's JSON is
+_EVENT_AT, _EVENT_END = 4 + len(_EVENT_HEAD), -len(_EVENT_TAIL)  # and the event's
+
+
+def _framed(*parts: bytes) -> bytes:
+    """The frame whose body is ``parts`` joined."""
+    return b"".join((struct.pack(">I", sum(map(len, parts))), *parts))
+
+
+def result_frame(entry: Entry) -> bytes:
+    """The frame of ``{"kind": "event", "event": insert_event(entry)}``.
+    A document or node entry keeps it the first time; a port's is encoded
+    afresh, since its spec may change."""
+    frame = entry._wire
+    if frame is None:
+        frame = _framed(_RESULT_HEAD, _json(entry_to_json(entry)), _RESULT_TAIL)
         if entry.kind != PORT:
-            object.__setattr__(entry, "_wire", data)
-    return data
+            object.__setattr__(entry, "_wire", frame)
+    return frame
 
 
-# an unstamped node-issued Insert, as a query answers with: only the entry varies
-_NODE_INSERT_HEAD = b'{"created_at":0,"entry":'
-_NODE_INSERT_TAIL = b',"kind":"Insert","origin_port":"@node","seq":0}'
+def entry_bytes(entry: Entry) -> bytes | memoryview:
+    """The JSON of ``entry_to_json(entry)``: a view into its kept frame,
+    which copies nothing, or for a port, encoded afresh."""
+    if entry.kind == PORT:
+        return _json(entry_to_json(entry))
+    return memoryview(result_frame(entry))[_AT:_END]
+
+
+def _spliced(frame: bytes, meta) -> bytes:
+    """``frame``, an entry's kept frame, with ``meta``'s JSON in place of
+    the entry's metadata.  That object lies between the first ``,"meta":``
+    after the entry starts and the last ``,"name":``: neither sequence can
+    stand unescaped inside a JSON string, and only the metadata, which
+    comes between them, can hold another."""
+    start = frame.index(b',"meta":', _AT) + 8
+    end = frame.rindex(b',"name":')
+    view = memoryview(frame)
+    return _framed(view[4:start], _json(dict(meta)), view[end:])
+
+
+def with_meta(entry: Entry, meta) -> Entry:
+    """A copy of ``entry`` with the metadata ``meta``.  A document's or
+    node's copy keeps the original's frame with ``meta`` spliced in, so the
+    two share one encoding of the content."""
+    copy = Entry(entry.name, meta, entry.kind, entry.payload)
+    if entry.kind != PORT:
+        object.__setattr__(copy, "_wire", _spliced(result_frame(entry), copy.meta))
+    return copy
+
+
 _FILTER, _LABEL, _SUBSCRIPTION = ',"filter":', ',"label":', ',"subscription":'
 
 
-def event_bytes(ev: Event) -> bytes:
+def _is_result(ev: Event) -> bool:
+    """Whether ``ev`` is an unstamped node-issued Insert, as a query result is."""
+    return not ev.seq and ev.entry is not None and ev == (INSERT, NODE_ORIGIN, ev.entry,
+                                                          None, None, None, 0, 0)
+
+
+def event_bytes(ev: Event) -> bytes | memoryview:
     """The JSON of ``event_to_json(ev)``, its fields written around the
-    entry's own bytes."""
+    entry's own bytes; a query result's is a view into its kept frame."""
+    if _is_result(ev):
+        return memoryview(result_frame(ev.entry))[_EVENT_AT:_EVENT_END]
     kind, origin, entry, sub, filt, label, seq, created = ev
-    if not seq and entry is not None and ev == (INSERT, NODE_ORIGIN, entry,
-                                                 None, None, None, 0, 0):
-        return _NODE_INSERT_HEAD + entry_bytes(entry) + _NODE_INSERT_TAIL
     tail = (f'{"" if filt is None else _FILTER + _str(print_filter(filt))},"kind":{_str(kind)}'
             f'{"" if label is None else _LABEL + _str(label)},"origin_port":{_str(origin)}'
             f',"seq":{seq}{"" if sub is None else _SUBSCRIPTION + _str(sub)}}}').encode("utf-8")
@@ -129,17 +181,17 @@ def _body(body: dict) -> bytes:
     return b"".join(parts)
 
 
-# a frame that carries one event and nothing else, as every query result
-# and pushed event is: only the event varies
-_EVENT_HEAD = b'{"event":'
-_EVENT_TAIL = b',"kind":"event","v":%d}' % VERSION
-
-
 def encode_frame(msg: dict) -> bytes:
     """Serialize a message dict (without ``v``; it is added here).  A value
-    may be an ``Event`` or ``Entry``, or a list of them."""
-    if len(msg) == 2 and msg.get("kind") == EVENT and type(msg.get("event")) is Event:
-        data = _EVENT_HEAD + event_bytes(msg["event"]) + _EVENT_TAIL
+    may be an ``Event`` or ``Entry``, or a list of them.  A query result's
+    frame is the kept frame of its entry, the very object."""
+    if len(msg) == 2 and msg.get("kind") == EVENT and type(ev := msg.get("event")) is Event:
+        if _is_result(ev):
+            frame = result_frame(ev.entry)
+            if len(frame) - 4 > MAX_BODY:
+                raise WireError("oversize", f"{len(frame) - 4} byte body")
+            return frame
+        data = _EVENT_HEAD + event_bytes(ev) + _EVENT_TAIL
     else:
         data = _body({**msg, "v": VERSION})
     if len(data) > MAX_BODY:
@@ -295,23 +347,25 @@ def content_b64(doc: Document) -> str:
     return base64.b64encode(doc.content).decode("ascii")
 
 
-# the body of a ``get`` reply for a document whose strings are all empty
-_GET_REPLY_EMPTY = len(b'{"entry":{"content_b64":"","kind":"document","media_type":"",'
-                       b'"meta":{},"name":""},"kind":"ack","v":1}')
+# the body of a query result for a document whose strings are all empty
+_RESULT_EMPTY = len(_RESULT_HEAD + b'{"content_b64":"","kind":"document","media_type":"",'
+                    b'"meta":{},"name":""}' + _RESULT_TAIL)
 
 
-def get_reply_bound(doc: Entry) -> int:
-    """An upper bound on the body of the ``get`` reply that carries the
-    document ``doc``, from lengths alone, with nothing encoded.  Its content
-    counts exactly: base64 writes n bytes as 4 * ceil(n / 3).  Each
-    character of its name, media type and metadata counts 6 bytes, the most
-    JSON text takes for one (``\\u001f``), and each metadata item 6 more
-    for its quotes, colon and comma."""
+def result_frame_bound(doc: Entry) -> int:
+    """An upper bound on the body of the query result that carries the
+    document ``doc``, from lengths alone, with nothing encoded.  That is
+    the largest frame that carries a stored document whole and unchanged:
+    a ``get`` reply or a ``fetch`` answer holds less around it.  Its
+    content counts exactly: base64 writes n bytes as 4 * ceil(n / 3).
+    Each character of its name, media type and metadata counts 6 bytes,
+    the most JSON text takes for one (``\\u001f``), and each metadata item
+    6 more for its quotes, colon and comma."""
     meta, payload = doc.meta, doc.payload
     chars = len(doc.name) + len(payload.media_type)
     if meta:  # the sums cost more than the rest: a document without metadata skips them
         chars += len(meta) + sum(map(len, meta)) + sum(map(len, meta.values()))
-    return _GET_REPLY_EMPTY + (len(payload.content) + 2) // 3 * 4 + 6 * chars
+    return _RESULT_EMPTY + (len(payload.content) + 2) // 3 * 4 + 6 * chars
 
 
 def entry_to_json(entry: Entry) -> dict:

@@ -1,7 +1,7 @@
 """One admission rule for every entry, on every path into a node.
 
-``ports.admission_fault`` holds the rules: a document fits in its own
-``get`` reply, reserved metadata keys parse, a port's behavior is
+``ports.admission_fault`` holds the rules: a document fits in the query
+result that returns it, reserved metadata keys parse, a port's behavior is
 registered, and each config key its behavior declares parses.  A command,
 a push, a config file, a pulled event and an HTTP PUT all ask it, and a
 refusal changes nothing.
@@ -15,11 +15,12 @@ import pytest
 
 from npckit import wire
 from npckit.apps import build_preset
-from npckit.history import INSERT, REMOVE
+from npckit.cli import NpcClient
+from npckit.history import INSERT, REMOVE, insert_event
 from npckit.httpd import http_request
 from npckit.model import PORT, document_entry
 from npckit.ports import BEHAVIORS, RESERVED_META, Behavior, admission_fault
-from npckit.server import ConfigError, ServerConfig
+from npckit.server import ConfigError, Server, ServerConfig
 from npckit.sim import SimRun
 
 
@@ -198,10 +199,10 @@ def test_the_admin_port_never_replaces_or_removes_itself_through_its_own_connect
 SMALL_BODY = 4096  # wire.MAX_BODY in the size tests, so a document over it stays small
 
 
-def most_content(media_type: str) -> int:
-    """The most bytes of content a document ``welcome`` of ``media_type``,
-    with no metadata, may hold under ``SMALL_BODY``."""
-    fits = lambda n: admission_fault(document_entry("welcome", b"x" * n, media_type)) is None
+def most_content(media_type: str, name: str = "welcome", meta: dict | None = None) -> int:
+    """The most bytes of content a document ``name`` of ``media_type``,
+    with ``meta`` (none by default), may hold under ``SMALL_BODY``."""
+    fits = lambda n: admission_fault(document_entry(name, b"x" * n, media_type, meta)) is None
     low, high = 0, SMALL_BODY  # fits(low), not fits(high)
     while high - low > 1:
         mid = (low + high) // 2
@@ -212,9 +213,10 @@ def most_content(media_type: str) -> int:
 @pytest.mark.parametrize("size", ["fits", "one-byte-over"])
 @pytest.mark.parametrize("path", ["cmd", "push", "config", "http"])
 def test_a_document_too_big_for_its_own_get_reply_is_refused(monkeypatch, path, size):
-    """A stored document can always be read back: one whose ``get`` reply
-    could not be framed is refused on the way in, and the largest one
-    admitted is served by ``get``, ``fetch`` and HTTP GET."""
+    """A stored document can always be read back: one whose query result,
+    which holds more around it than its ``get`` reply, could not be framed
+    is refused on the way in, and the largest one admitted is served by
+    ``get``, ``fetch`` and HTTP GET."""
     monkeypatch.setattr(wire, "MAX_BODY", SMALL_BODY)
     media = "text/plain" if path == "http" else ""
     n = most_content(media) + (size == "one-byte-over")
@@ -239,10 +241,12 @@ def test_a_document_too_big_for_its_own_get_reply_is_refused(monkeypatch, path, 
     if fault is None:
         server = run.server("web")
         assert server.root.entries["welcome"].payload.content == content
-        # the content counts exactly: the reply is as big as it can be, save
-        # the five bytes a character of the name or media type is counted over
-        reply = wire.encode_frame({"kind": "ack", "entry": server.root.entries["welcome"]})
-        assert SMALL_BODY - 4 < len(reply) - 4 + 5 * len("welcome" + media) <= SMALL_BODY
+        # the content counts exactly: a query result, the largest frame that
+        # carries the document whole, is as big as it can be, save the five
+        # bytes a character of the name or media type is counted over
+        stored = server.root.entries["welcome"]
+        result = wire.encode_frame({"kind": "event", "event": insert_event(stored)})
+        assert SMALL_BODY - 4 < len(result) - 4 + 5 * len("welcome" + media) <= SMALL_BODY
         assert http_request(server, "GET", "/root/welcome")[::2] == (200, content)
         run.send("c", {"kind": "cmd", "op": "get", "name": "welcome"})
         (got,) = run.take_replies("c")
@@ -250,6 +254,60 @@ def test_a_document_too_big_for_its_own_get_reply_is_refused(monkeypatch, path, 
         run.send("c", {"kind": "cmd", "op": "fetch", "name": "welcome"})
         assert run.take_replies("c")[0]["content_b64"] == entry["content_b64"]
     assert run.server("web").faults == 0
+
+
+def query_over_tcp(entry: dict, query: str) -> list[dict]:
+    """The replies to inserting ``entry`` and then to ``query``, each on
+    its own connection to a real server's admin port."""
+    server = Server(ServerConfig.from_dict({"host": "127.0.0.1", "npc_tcp_port": 0, "root": {
+        "entries": [{"name": "admin", "kind": "port", "behavior": "admin"}]}}), real=True)
+    server.start()
+    try:
+        url = f"npc://127.0.0.1:{server.advertised_port}/root/admin"
+        replies = []
+        for msg in ({"kind": "cmd", "op": "insert", "entry": entry},
+                    {"kind": "cmd", "op": "query", "query": query}):
+            client = NpcClient(url)
+            client.collect = replies.append
+            replies.append(client.roundtrip(msg))
+            client.close()
+        assert server.faults == 0
+        return replies
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("size", ["fits", "one-byte-over"])
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize("name,meta", [("w", {"t": "a"}), ("welcome", {"topic": "a"})],
+                         ids=["w", "welcome"])
+def test_the_largest_admitted_document_is_streamed_whole_by_a_local_query(
+        monkeypatch, name, meta, transport, size):
+    """A query result holds more around a document than its ``get`` reply
+    does, and the rule admits a document only if that result fits."""
+    monkeypatch.setattr(wire, "MAX_BODY", SMALL_BODY)
+    content = b"x" * (most_content("", name, meta) + (size == "one-byte-over"))
+    entry = {"name": name, "kind": "document", "meta": meta, "media_type": "",
+             "content_b64": base64.b64encode(content).decode("ascii")}
+    (key, value), = meta.items()
+    query = f'meta.{key} == "{value}"'
+    if transport == "tcp":
+        replies = query_over_tcp(entry, query)
+    else:
+        run = doc_server()
+        run.send("c", {"kind": "cmd", "op": "insert", "entry": entry})
+        run.send("c", {"kind": "cmd", "op": "query", "query": query})
+        # the query port closes the connection it was handed after done
+        replies = [r for r in run.take_replies("c") if r["kind"] != "bye"]
+        assert run.server("web").faults == 0
+    if size == "one-byte-over":
+        assert [(r["kind"], r.get("code")) for r in replies] == [
+            ("error", "oversize"), ("ack", None)]
+        assert replies[1]["count"] == 0
+        return
+    inserted, result, done = replies
+    assert inserted["kind"] == "ack" and done == {"v": 1, "kind": "ack", "done": True, "count": 1}
+    assert result["kind"] == "event" and result["event"]["entry"] == entry
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

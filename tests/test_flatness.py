@@ -3,24 +3,28 @@
 Time is too noisy to pin this, so work is counted: calls of
 ``eval_filter`` (each top-level evaluation once), history events read
 (what ``EventHistory.since`` hands out), documents a behaviour reads as
-candidates (each ``insert_event`` of a document in ``behaviors``) and
-``Node.deliver_step`` calls.
+candidates (each ``insert_event`` of a document in ``behaviors``),
+``Node.deliver_step`` calls, full encodes of a document's content
+(``base64.b64encode`` calls), names ``behaviors`` passes to ``sorted``, and
+entries handed out by iterating a node's table.
 Each path is run at N and at 4N documents, every one of which is also an
 event in the history, and its counts per operation must agree within
 ``SLACK``.  Delivery is run the same way at S and at 4S subscriptions that
-no event matches.
+no event matches.  Some counts are pinned exactly, at every size: what a
+``get`` reads of the table, what a local query sorts, and how often a
+stored document is encoded on each path that serves it.
 """
 
+import base64
 from collections import Counter
 
 import pytest
 
 from npckit import behaviors, filters, gateways, history, node
-from npckit.history import EventHistory
-from npckit.model import DOCUMENT, document_entry
+from npckit.history import INSERT, EventHistory
+from npckit.model import DOCUMENT
 from npckit.node import Node
 from npckit.sim import SimRun
-from npckit.wire import entry_to_json
 
 N = 100
 S = 20
@@ -29,10 +33,38 @@ SLACK = 0.25  # per operation, or per result
 PER_TOPIC = 10  # a local query matches this many documents, whatever the table's size
 
 
-def counting(monkeypatch) -> Counter:
+class CountedTable(dict):
+    """A node's entry table that counts the entries iteration hands out."""
+
+    def __init__(self, entries: dict, counts: Counter):
+        super().__init__(entries)
+        self.counts = counts
+
+    def _handed(self, items):
+        for item in items:
+            self.counts["entries_iterated"] += 1
+            yield item
+
+    def __iter__(self):
+        return self._handed(super().__iter__())
+
+    def keys(self):
+        return self._handed(super().keys())
+
+    def values(self):
+        return self._handed(super().values())
+
+    def items(self):
+        return self._handed(super().items())
+
+
+def counting(monkeypatch, *runs: SimRun) -> Counter:
+    """Count, from now until ``monkeypatch.undo()``, the work named in the
+    module docstring; the entry tables counted are those of ``runs``'
+    nodes, and are counted for good."""
     counts = Counter()
     real_eval, real_since, real_step = behaviors.eval_filter, EventHistory.since, Node.deliver_step
-    real_insert = behaviors.insert_event
+    real_insert, real_b64 = behaviors.insert_event, base64.b64encode
 
     nesting = [0]
 
@@ -57,6 +89,15 @@ def counting(monkeypatch) -> Counter:
         counts["deliver_step"] += 1
         return real_step(self, *args, **kwargs)
 
+    def b64encode(data, *args):
+        counts["content_encodes"] += 1
+        return real_b64(data, *args)
+
+    def sorted_names(names, **kwargs):
+        names = list(names)
+        counts["names_sorted"] += len(names)
+        return sorted(names, **kwargs)
+
     # the filters module too, for the index's evaluations; its recursion
     # is nested, so stays uncounted
     for module in (behaviors, filters, gateways, history, node):
@@ -64,11 +105,20 @@ def counting(monkeypatch) -> Counter:
     monkeypatch.setattr(EventHistory, "since", since)
     monkeypatch.setattr(behaviors, "insert_event", insert_event)
     monkeypatch.setattr(Node, "deliver_step", deliver_step)
+    monkeypatch.setattr(base64, "b64encode", b64encode)
+    monkeypatch.setattr(behaviors, "sorted", sorted_names, raising=False)
+    for run in runs:  # the tables stay swapped: what was posted meanwhile stays in them
+        for server in run.servers.values():
+            for n in server.nodes.values():
+                n.entries = CountedTable(n.entries, counts)
     return counts
 
 
 def doc(i: int) -> dict:
-    return entry_to_json(document_entry(f"d{i:05d}", b"x", meta={"topic": f"t{i // PER_TOPIC}"}))
+    """The JSON of document ``i``, written here so that making it encodes
+    nothing."""
+    return {"name": f"d{i:05d}", "kind": "document", "content_b64": "eA==",
+            "media_type": "application/octet-stream", "meta": {"topic": f"t{i // PER_TOPIC}"}}
 
 
 def watcher(i: int) -> dict:
@@ -151,7 +201,7 @@ PATHS = {"insert": insert, "remove": remove, "get": get, "pull-at-end": pull_at_
 
 def per_op(monkeypatch, path, n: int, s: int = 0) -> dict:
     run = origin(n, s)
-    counts = counting(monkeypatch)
+    counts = counting(monkeypatch, run)
     per = 0
     for i in range(OPS):
         per += PATHS[path](run, i) or 1
@@ -161,13 +211,25 @@ def per_op(monkeypatch, path, n: int, s: int = 0) -> dict:
 
 
 def assert_flat(small: dict, large: dict) -> None:
-    for key in ("eval_filter", "events_read", "documents_read", "deliver_step"):
+    for key in ("eval_filter", "events_read", "documents_read", "deliver_step",
+                "content_encodes", "names_sorted"):
         assert abs(small.get(key, 0) - large.get(key, 0)) <= SLACK, (key, small, large)
+
+
+# counts pinned exactly, per operation (per result for the local query):
+# a get or a fetch of a stored document looks it up and reads nothing else
+# of the table, and a local query sorts its results' names and no others
+EXACT = {"get": {"entries_iterated": 0}, "fetch-hit": {"entries_iterated": 0},
+         "local-query-per-result": {"names_sorted": 1}}
 
 
 @pytest.mark.parametrize("path", PATHS)
 def test_work_per_op_does_not_grow_with_the_table(monkeypatch, path):
-    assert_flat(per_op(monkeypatch, path, N), per_op(monkeypatch, path, 4 * N))
+    small, large = per_op(monkeypatch, path, N), per_op(monkeypatch, path, 4 * N)
+    assert_flat(small, large)
+    for counts in (small, large):
+        for key, want in EXACT.get(path, {}).items():
+            assert counts.get(key, 0) == want, (key, counts)
 
 
 def test_work_per_insert_does_not_grow_with_subscriptions_that_never_match(monkeypatch):
@@ -184,7 +246,7 @@ def pulled(monkeypatch, n: int) -> dict:
          "config": {"source": "npc://a:7070/root/admin", "every": "1", "after": str(start)}}]}})
     run.quiesce()
     run.tick()  # the puller dials and catches up with nothing
-    counts = counting(monkeypatch)
+    counts = counting(monkeypatch, run)
     for i in range(OPS):
         run.connect("c", "npc://a:7070/root/admin")
         run.send("c", {"kind": "cmd", "op": "insert", "entry": doc(100000 + i)})
@@ -199,3 +261,105 @@ def pulled(monkeypatch, n: int) -> dict:
 
 def test_work_per_pulled_event_does_not_grow_with_the_history(monkeypatch):
     assert_flat(pulled(monkeypatch, N), pulled(monkeypatch, 4 * N))
+
+
+# ---------------------------------------------------------------------------
+# a stored document is encoded once, whichever paths serve it and how often
+
+REPEATS = 3
+SERVED = 5  # documents served on a path, each REPEATS times
+TOPICS = 2  # the topics queried, each REPEATS times
+
+
+def stored_seq(run: SimRun, name: str) -> int:
+    """The seq of the live Insert of ``name`` on the origin."""
+    return next(ev.seq for ev in run.server("a").root.history.live
+                if ev.kind == INSERT and ev.entry.name == name)
+
+
+def serve_by_query(monkeypatch, run: SimRun) -> Counter:
+    counts = counting(monkeypatch, run)
+    for _ in range(REPEATS):
+        for topic in range(TOPICS):
+            local_query(run, topic)
+    return counts
+
+
+def serve_by_get(monkeypatch, run: SimRun) -> Counter:
+    counts = counting(monkeypatch, run)
+    for _ in range(REPEATS):
+        for i in range(SERVED):
+            get(run, i)
+    return counts
+
+
+def serve_by_pull(monkeypatch, run: SimRun) -> Counter:
+    after = [stored_seq(run, f"d{i:05d}") - 1 for i in range(SERVED)]
+    counts = counting(monkeypatch, run)
+    for _ in range(REPEATS):
+        for i in range(SERVED):
+            (ack,) = ask(run, {"kind": "pull", "after": after[i], "max": 1})
+            (ev,) = ack["events"]
+            assert ev["entry"]["name"] == f"d{i:05d}"
+            assert ev["entry"]["meta"]["origin-node"] == "npc://a:7070/root"
+    return counts
+
+
+def serve_pushed(monkeypatch, run: SimRun) -> Counter:
+    """Pushed Inserts that a forwarder sends on, tagged, and that ``get``
+    then reads on the node they were pushed to."""
+    run.add_server({"host": "b", "npc_tcp_port": 7070, "root": {"entries": [
+        {"name": "admin", "kind": "port", "behavior": "admin"}]}})
+    ask(run, {"kind": "cmd", "op": "insert", "entry": {
+        "name": "fwd", "kind": "port", "behavior": "forwarder", "cursor": last_seq(run) + 1,
+        "config": {"target": "npc://b:7070/root/admin"}}})
+    run.quiesce()
+    counts = counting(monkeypatch, run)
+    for i in range(SERVED):
+        push_insert(run, i)
+    run.quiesce()
+    for _ in range(REPEATS):
+        for i in range(SERVED):
+            get(run, 100000 + i)
+    copies = run.server("b").root.entries
+    assert [copies[f"d{100000 + i:05d}"].meta["origin-node"] for i in range(SERVED)] == [
+        "npc://a:7070/root"] * SERVED
+    return counts
+
+
+ENCODED_ONCE = {"local-query": (serve_by_query, PER_TOPIC * TOPICS),
+                "get": (serve_by_get, SERVED), "pull": (serve_by_pull, SERVED),
+                "push-insert": (serve_pushed, SERVED)}
+
+
+@pytest.mark.parametrize("path", ENCODED_ONCE)
+def test_each_stored_document_is_encoded_once_however_often_it_is_served(monkeypatch, path):
+    """A document's content is base64-encoded once for all of its frames:
+    the query results, ``get`` replies and tagged copies (pulled, or pushed
+    on by a forwarder) that carry it, at N and at 4N documents."""
+    serve, documents = ENCODED_ONCE[path]
+    for n in (N, 4 * N):
+        run = origin(n)
+        counts = serve(monkeypatch, run)
+        monkeypatch.undo()
+        assert all(s.faults == 0 for s in run.servers.values())
+        assert counts["content_encodes"] == documents, (n, counts)
+
+
+def test_five_pulls_of_one_document_encode_it_once(monkeypatch):
+    """Each pull tags its copy of the document with the origin's URL; the
+    copies share the original's one encoding, and so do untagged history
+    replies afterwards."""
+    run = SimRun()
+    run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [
+        {"name": "admin", "kind": "port", "behavior": "admin"},
+        {"name": "doc", "content_text": "x" * 300}]}})
+    run.quiesce()
+    counts = counting(monkeypatch, run)
+    for op in ("pull", "history"):
+        for _ in range(5):
+            msg = {"kind": "pull"} if op == "pull" else {"kind": "cmd", "op": "history"}
+            (ack,) = ask(run, msg)
+            (ev,) = [e for e in ack["events"] if e["entry"]["name"] == "doc"]
+            assert ("origin-node" in ev["entry"]["meta"]) == (op == "pull")
+        assert counts["content_encodes"] == 1, (op, counts)

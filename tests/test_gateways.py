@@ -6,6 +6,7 @@ sockets each, except the mirror test, which runs two servers of its own.
 
 import base64
 import http.client
+import selectors
 import socket
 import struct
 import threading
@@ -14,7 +15,7 @@ import time
 import pytest
 
 from conftest import flush, on_driver, wait_for
-from npckit import gateways, wire
+from npckit import gateways, server as server_module, wire
 from npckit.apps import demo_scenario
 from npckit.cli import NpcClient, TransportError
 from npckit.filters import parse_filter
@@ -23,7 +24,7 @@ from npckit.history import NODE_ORIGIN, insert_event
 from npckit.model import PortSpec, port_entry
 from npckit.server import Server, ServerConfig
 from npckit.sim import SimRun, run_scenario
-from npckit.wire import MAX_BODY, bye_frame, encode_frame, read_frame
+from npckit.wire import MAX_BODY, FrameBuffer, bye_frame, encode_frame, read_frame
 
 CONFIG = {"host": "127.0.0.1", "npc_tcp_port": 0,
           "root": {"entries": [{"name": "admin", "kind": "port", "behavior": "admin"}]}}
@@ -343,3 +344,175 @@ def test_every_loopback_frame_passes_the_frame_hook_once(monkeypatch):
     kinds = [decode(data)["kind"] for data in delivered]
     assert [msg.get("kind") for msg, _ in hooked] == kinds
     assert kinds.count("event") == 3  # two routed documents, one query result
+
+
+# ---------------------------------------------------------------------------
+# a connection's own socket paths: partial writes, a peer lost mid-write, a
+# close with output pending, each on the test's own socket pair with small
+# buffers and a selector of its own
+
+SMALL_BUFFER = 4096
+
+
+def small_pair() -> tuple[socket.socket, socket.socket]:
+    ours, theirs = socket.socketpair()
+    ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SMALL_BUFFER)
+    theirs.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SMALL_BUFFER)
+    theirs.settimeout(5)
+    return ours, theirs
+
+
+def stalled_conn():
+    """A ``TcpConn`` on one end of a small pair, sent frames until the
+    kernel takes no more and some wait in its output: the conn, its
+    selector, the other end, what reached the conn, and the bytes sent."""
+    ours, theirs = small_pair()
+    selector = selectors.DefaultSelector()
+    got = []
+    conn = TcpConn("pair", ours, lambda c, msg: got.append(msg["kind"]), selector)
+    sent = bytearray()
+    i = 0
+    while not conn._out:
+        msg = {"kind": "ack", "i": i, "pad": "x" * 1000}
+        assert conn.send(msg)
+        sent += encode_frame(msg)
+        i += 1
+    assert selector.get_key(ours).events == selectors.EVENT_READ | selectors.EVENT_WRITE
+    return conn, selector, theirs, got, sent
+
+
+def drain(conn, theirs, chunk: int = 97) -> bytes:
+    """Read ``theirs`` in small chunks, handing the conn a writable socket
+    between them, until the conn's output is out; then read what is left
+    up to the end of the stream or the last byte the conn sent."""
+    received = bytearray()
+    while conn._out:
+        received += theirs.recv(chunk)
+        conn.on_writable()
+    theirs.setblocking(False)
+    try:
+        while data := theirs.recv(chunk):
+            received += data
+    except BlockingIOError:
+        pass
+    return bytes(received)
+
+
+def test_a_send_the_kernel_takes_in_part_goes_out_whole_and_in_order():
+    conn, selector, theirs, got, sent = stalled_conn()
+    with theirs:
+        assert drain(conn, theirs) == sent
+        # all out: the socket is watched for reads alone again
+        assert selector.get_key(conn._sock).events == selectors.EVENT_READ
+        assert not conn.closed and got == []
+        conn.close()
+    selector.close()
+
+
+def test_a_peer_lost_mid_write_is_a_bye_and_frees_the_socket():
+    conn, selector, theirs, got, _ = stalled_conn()
+    theirs.close()
+    conn.on_writable()  # the write finds the peer gone
+    assert got == ["bye"] and conn.closed
+    assert conn._sock.fileno() < 0 and selector.get_map() == {}
+    assert not conn.send({"kind": "ack"})
+    selector.close()
+
+
+def test_a_send_to_a_peer_already_gone_is_a_bye_and_frees_the_socket():
+    ours, theirs = small_pair()
+    selector = selectors.DefaultSelector()
+    got = []
+    conn = TcpConn("pair", ours, lambda c, msg: got.append(msg["kind"]), selector)
+    theirs.close()
+    assert not conn.send({"kind": "ack"})
+    assert got == ["bye"] and conn.closed
+    assert ours.fileno() < 0 and selector.get_map() == {}
+    selector.close()
+
+
+def test_a_close_with_output_pending_sends_it_all_then_bye_then_ends():
+    conn, selector, theirs, got, sent = stalled_conn()
+    with theirs:
+        conn.close()
+        # the socket stays open, watched for writes alone, until all is out
+        assert conn.closed and conn._sock.fileno() >= 0
+        assert selector.get_key(conn._sock).events == selectors.EVENT_WRITE
+        assert drain(conn, theirs) == bytes(sent) + bye_frame()
+        assert conn._sock.fileno() < 0 and selector.get_map() == {}
+        assert got == []
+    selector.close()
+
+
+def test_a_frame_for_a_port_that_is_gone_is_answered_without_a_fault(monkeypatch):
+    """Two frames wait in one pass: the first removes the port that owns
+    the second's connection, whose answer then finds the port gone."""
+    run = SimRun()
+    run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [
+        {"name": "admin", "kind": "port", "behavior": "admin"},
+        {"name": "other", "kind": "port", "behavior": "admin"}]}})
+    run.connect("owner", "npc://a:7070/root/other")
+    run.connect("remover", "npc://a:7070/root/admin")
+    answers = []
+    send = gateways.LoopbackConn.send
+    monkeypatch.setattr(gateways.LoopbackConn, "send",
+                        lambda conn, msg: answers.append(msg) or send(conn, msg))
+    # queued on the server, not yet handled
+    run.conns["remover"].send({"kind": "cmd", "op": "remove", "name": "other"})
+    run.conns["owner"].send({"kind": "cmd", "op": "list"})
+    answers.clear()
+    run.quiesce()
+    server = run.server("a")
+    assert server.faults == 0 and "other" not in server.root.entries
+    assert {"kind": "error", "code": "not-found", "message": "owning port is gone"} in answers
+    # the removal closed the connection, so the answer goes nowhere
+    assert [r["kind"] for r in run.take_replies("owner")] == ["hello", "bye"]
+    assert [r["kind"] for r in run.take_replies("remover")] == ["hello", "ack"]
+
+
+def test_a_local_query_reaches_a_client_that_reads_in_small_chunks_byte_for_byte(monkeypatch):
+    """The server's socket takes little at a time, so the results go out
+    in parts, and the client reads them a few bytes at a time: every result
+    frame arrives as the entry's kept frame, in order."""
+    writable = []
+
+    class SmallSendBuffer(TcpConn):
+        def __init__(self, label, sock, enqueue, selector):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SMALL_BUFFER)
+            super().__init__(label, sock, enqueue, selector)
+
+        def on_writable(self):
+            writable.append(self.id)
+            super().on_writable()
+
+    monkeypatch.setattr(server_module, "TcpConn", SmallSendBuffer)
+    docs = [{"name": f"d{i:03d}", "kind": "document", "meta": {"topic": "t"},
+             "content_text": chr(65 + i % 26) * 2000} for i in range(40)]
+    s = Server(ServerConfig.from_dict(dict(CONFIG, root={"entries": CONFIG["root"]["entries"]
+                                                         + docs})), real=True)
+    s.start()
+    try:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SMALL_BUFFER)
+        sock.settimeout(5)
+        with sock:
+            sock.connect(("127.0.0.1", s.advertised_port))
+            sock.sendall(hello(s) + encode_frame({"kind": "cmd", "op": "query",
+                                                  "query": 'meta.topic == "t"'}))
+            received = bytearray()
+            while data := sock.recv(97):
+                received += data
+        frames = []
+        while received:
+            (length,) = struct.unpack(">I", received[:4])
+            frames.append(bytes(received[:4 + length]))
+            del received[:4 + length]
+        kept = on_driver(s, lambda: [s.root.entries[d["name"]]._wire for d in docs])
+        assert frames[1:-2] == kept
+        buffer = FrameBuffer()
+        buffer.feed(frames[0] + frames[-2] + frames[-1])
+        assert [buffer.pop()["kind"] for _ in range(3)] == ["hello", "ack", "bye"]
+        assert writable  # the server's socket did take the results in parts
+        assert s.faults == 0
+    finally:
+        s.stop()

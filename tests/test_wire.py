@@ -411,7 +411,9 @@ def test_an_event_frame_is_its_events_bytes_between_constants(rng, monkeypatch):
             general.clear()
 
 
-def test_a_get_reply_is_never_larger_than_its_bound_and_its_content_counts_exactly(rng):
+def test_a_result_frame_is_never_larger_than_its_bound_and_its_content_counts_exactly(rng):
+    """The bound holds for a query result, the largest frame that carries a
+    stored document whole, and so for a ``get`` reply, which holds less."""
     for _ in range(300):
         doc = document_entry(rand_text(rng) or "n", rng.randbytes(rng.randrange(0, 40)),
                              rand_text(rng), rand_meta(rng))
@@ -419,29 +421,101 @@ def test_a_get_reply_is_never_larger_than_its_bound_and_its_content_counts_exact
         for extra in range(4):
             grown = document_entry(doc.name, doc.payload.content + b"x" * extra,
                                    doc.payload.media_type, doc.meta)
+            result = encode_frame({"kind": "event", "event": insert_event(grown)})
             reply = encode_frame({"kind": "ack", "entry": grown})
-            slack[extra] = wire.get_reply_bound(grown) - (len(reply) - 4)
+            assert len(reply) < len(result)
+            slack[extra] = wire.result_frame_bound(grown) - (len(result) - 4)
         assert min(slack.values()) >= 0
         assert len(set(slack.values())) == 1, slack  # content is never over-counted
 
 
+def canonical(entry) -> bytes:
+    return json.dumps(entry_to_json(entry), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
+RESULT_HEAD = b'{"event":{"created_at":0,"entry":'
+
+
 def test_a_document_keeps_its_bytes_and_a_port_does_not():
+    """A document keeps the frame of the query result that streams it, and
+    its JSON is a slice of that frame; a port keeps nothing, and its
+    encoding follows a change of its spec."""
     doc = document_entry("d", b"payload", meta={"k": "v"})
     port = port_entry("p", PortSpec("manual"))
     for e in (doc, port):
-        assert entry_bytes(e) == json.dumps(entry_to_json(e), sort_keys=True,
-                                            separators=(",", ":")).encode()
-    assert doc._wire == entry_bytes(doc)
+        assert entry_bytes(e) == canonical(e)
+    result = {"kind": "event", "event": insert_event(doc)}
+    assert doc._wire == framed_json(result)
+    assert doc._wire.index(entry_bytes(doc)) == 4 + len(RESULT_HEAD)
+    assert entry_bytes(doc).obj is doc._wire  # a view: the JSON is not copied
+    assert event_bytes(insert_event(doc)).obj is doc._wire
+    assert encode_frame(result) is doc._wire
     assert port._wire is None
     port.payload.config["changed"] = "yes"  # a spec may change; the encoding follows
     assert b'"changed":"yes"' in entry_bytes(port)
+    assert b'"changed":"yes"' in encode_frame({"kind": "event", "event": insert_event(port)})
+    assert port._wire is None
 
 
-def test_a_tagged_copy_never_carries_the_originals_bytes():
-    ev = insert_event(document_entry("d", b"payload"))
-    event_bytes(ev)
-    assert ev.entry._wire is not None
+@pytest.mark.parametrize("original", ["encoded-first", "not-encoded"])
+def test_a_tagged_copy_never_carries_the_originals_bytes(original):
+    """The copy's bytes are its own, hold the tag and equal a fresh
+    encoding of it; the original's hold no tag, whichever was made first."""
+    ev = insert_event(document_entry("d", b"payload", meta={"k": "v"}))
+    if original == "encoded-first":
+        event_bytes(ev)
     tagged = tagged_with_origin(ev, "npc://a:7070/root")
-    assert tagged.entry._wire is None
-    assert b'"origin-node":"npc://a:7070/root"' in event_bytes(tagged)
-    assert b"origin-node" not in event_bytes(ev)
+    assert tagged.entry._wire is not None and ev.entry._wire is not None
+    assert b'"origin-node":"npc://a:7070/root"' in tagged.entry._wire
+    fresh = document_entry("d", b"payload", meta=tagged.entry.meta)
+    assert tagged.entry._wire == wire.result_frame(fresh)
+    assert b"origin-node" not in ev.entry._wire
+    assert b"origin-node" not in bytes(event_bytes(ev))
+    assert event_bytes(tagged) == event_bytes(tagged._replace(entry=fresh))
+
+
+# text that looks like the keys a splice looks for, and the metadata keys
+# that share their names
+TRICKY = ['","name":"', ',"name":', ',"meta":', '"meta":{', '"}', "name", "meta", "}", "{"]
+
+
+def rand_tricky_text(rng, most=4):
+    return "".join(rng.choice(TRICKY) if rng.random() < 0.3 else rand_text(rng, 3)
+                   for _ in range(rng.randrange(0, most + 1)))
+
+
+def rand_tricky_meta(rng):
+    keys = ["name", "meta", "content_b64", "origin-node"]
+    return {(rng.choice(keys) if rng.random() < 0.4 else rand_tricky_text(rng)):
+            rand_tricky_text(rng) for _ in range(rng.randrange(0, 5))}
+
+
+def test_kept_frames_and_spliced_copies_are_the_bytes_of_their_dicts(rng):
+    """For 1200 seeded documents and nodes whose text holds quotes,
+    backslashes, control characters, non-ASCII text and the very keys a
+    splice looks for: the entry's JSON, the kept frame and a copy with
+    other metadata, whether or not the original was encoded first, are
+    byte for byte what ``json.dumps`` writes."""
+    for i in range(1200):
+        name, meta = rand_tricky_text(rng) or "n", rand_tricky_meta(rng)
+        if i % 4:
+            media = rand_tricky_text(rng)
+            content = rng.randbytes(rng.randrange(0, 300))
+            make = lambda m: document_entry(name, content, media, m)
+        else:
+            make = lambda m: node_entry(name, m)
+        other = rng.choice([{**meta, "origin-node": rand_tricky_text(rng)},
+                            rand_tricky_meta(rng), {}])
+        for first in ("original", "copy"):
+            original = make(meta)
+            if first == "original":
+                wire.result_frame(original)
+            copy = wire.with_meta(original, other)
+            pairs = [(e, {"kind": "event", "event": insert_event(e)}) for e in (original, copy)]
+            encoded = [(entry_bytes(e), encode_frame(result)) for e, result in pairs]
+            for (e, result), (data, frame) in zip(pairs, encoded):
+                assert dict(e.meta) == (meta if e is original else other)
+                assert data == canonical(e)
+                assert frame is e._wire
+                assert frame == framed_json(result)
