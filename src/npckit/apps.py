@@ -275,13 +275,20 @@ PRESETS: dict[str, Preset] = {p.name: p for p in [
 ]}
 
 
-def build_preset(name: str, params: dict | None = None) -> list:
+class UnknownPreset(KeyError):  # a name that PRESETS does not hold
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
+
+
+def preset(name: str) -> Preset:
+    """The preset called ``name``: the one lookup of a preset by name."""
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    return PRESETS[name].build(params or {})
+        raise UnknownPreset(f"unknown preset {name!r}; have {', '.join(sorted(PRESETS))}")
+    return PRESETS[name]
+
+
+def build_preset(name: str, params: dict | None = None) -> list:
+    return preset(name).build(params or {})
 
 
 def demo_scenario(name: str, params: dict | None = None) -> dict:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    return PRESETS[name].demo(params or {})
+    return preset(name).demo(params or {})

@@ -24,7 +24,8 @@ from .history import (Event, INSERT, NODE_ORIGIN, REMOVE, SUSPEND, TIME,
                       insert_event, remove_event)
 from .model import (DOCUMENT, PORT, PortSpec, UrlError, document_entry, parse_url, port_entry,
                     valid_name)
-from .ports import BEHAVIORS, Behavior, admission_fault, behavior, optional_filter, positive
+from .ports import (BEHAVIORS, Behavior, admission_fault, behavior, choice, optional_filter,
+                    positive)
 from .wire import (ACK, BYE, CMD, ERROR, EVENT, HELLO, PULL, WireError, content_b64,
                    entry_from_json, event_bytes, event_from_json, get_int, room_in, with_meta)
 
@@ -42,12 +43,14 @@ FLAVORS = {
     "entry": _type_is(INSERT),
     "event": Or(_type_is(INSERT), _type_is(REMOVE)),
 }
+flavors = choice(*FLAVORS)  # the parser of a replicating port's ``flavor``
+modes = choice("local", "mediated")  # and of a query's mode
 
 
 def flavor_filter(b: Behavior) -> FilterExpr:
     """What a replicating port carries: the events of its ``flavor``
     (documents by default), narrowed by its optional ``filter``."""
-    f = FLAVORS.get(b.ctx.config.get("flavor", "document"), FLAVORS["document"])
+    f = FLAVORS[b.setting("flavor", "document")]
     extra = b.setting("filter", None)
     return f if extra is None else And(f, extra)
 
@@ -140,8 +143,9 @@ def serve_pull(ctx, conn, msg: dict, tag: bool = True) -> None:
     for ev in ctx.node.read_for_pull(after, effective):
         if taken == limit:
             break
-        out = tagged_with_origin(ev, url) if tag else ev
-        size = len(event_bytes(out)) + 1
+        # the event's bytes, sized here, are what the ack carries
+        out = event_bytes(tagged_with_origin(ev, url) if tag else ev)
+        size = len(out) + 1
         if size > room:
             ctx.trace("drop", f"{ev.kind} {ev.entry.name if ev.entry else ''} "
                               f"too big to pull")
@@ -168,6 +172,8 @@ class AdminBehavior(Behavior):
     port's filters: with true/true it is full management, with document-only
     filters it is a plain replication endpoint.
     """
+
+    config_keys = {"query_mode": modes}
 
     def on_external(self, conn, msg: dict) -> None:
         kind = msg.get("kind")
@@ -250,7 +256,7 @@ class AdminBehavior(Behavior):
     def _hand_over(self, conn, port) -> None:
         """Insert ``port`` with ``conn`` attached.  The port owns the
         connection from then on and ends it with bye when it retires."""
-        self.ctx.node.attachments[port.name] = {"conn": conn}
+        self.ctx.node.attachments[port.name] = conn
         if _post(self.ctx, conn, insert_event(port)) is None:
             self.ctx.node.attachments.pop(port.name, None)
 
@@ -268,7 +274,7 @@ class AdminBehavior(Behavior):
         if not isinstance(text, str) or not text.strip():
             _err(conn, "bad-query", "query text required")
             return
-        mode = self.ctx.config.get("query_mode", "local")
+        mode = self.setting("query_mode", "local")
         name = msg.get("name")
         if name in (None, ""):
             name = self.ctx.server.next_name("query", self.ctx.node)
@@ -300,7 +306,7 @@ class AdminBehavior(Behavior):
 @behavior("forwarder")
 class ForwarderBehavior(Behavior):
     resume_on_suspend = True
-    config_keys = {"filter": optional_filter}
+    config_keys = {"flavor": flavors, "filter": optional_filter}
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -363,20 +369,18 @@ BEHAVIORS["classifier"] = ForwarderBehavior
 @behavior("puller")
 class PullerBehavior(Behavior):
     resume_on_suspend = True
-    config_keys = {"after": int, "max": int, "every": positive, "filter": optional_filter}
+    config_keys = {"after": int, "max": int, "every": positive, "flavor": flavors,
+                   "filter": optional_filter}
 
     def __init__(self, ctx):
         super().__init__(ctx)
         self.conn = None
-        self.label = f"pull-{self.ctx.name}"
 
     def on_start(self) -> None:
         self.cursor = self.setting("after", 0)
         self.max_events = self.setting("max", 256)
         self.filter_text = print_filter(flavor_filter(self))
-        self.ctx.schedule(self.label, every=self.setting("every", 1))
-        self.ctx.receive("default", And(_type_is(TIME),
-                                        Cmp("event.label", "==", self.label)))
+        self.ctx.every(f"pull-{self.ctx.name}", self.setting("every", 1), "default")
 
     def on_event(self, ev, subscription: str) -> bool:
         if ev.kind == TIME:
@@ -424,7 +428,7 @@ class Answering(Behavior):
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.conn = self.ctx.attachment.get("conn")
+        self.conn = self.ctx.attachment
         self.finished = False
 
     def answer(self, reply: dict) -> None:
@@ -513,16 +517,16 @@ class QueryBehavior(Answering):
 
     resume_on_suspend = True
     unexpected = "this connection only streams query results"
+    config_keys = {"mode": modes}
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.mode = self.ctx.config.get("mode", "local")
         self.count = 0
         self.live_wrappers: set[str] = set()
         self.sent: set[str] = set()
 
     def on_start(self) -> None:
-        if self.mode == "local":
+        if self.setting("mode", "local") == "local":
             self._run_local()
             return
         mine = Cmp("meta.reply-to", "==", self.ctx.name)
@@ -592,9 +596,7 @@ class QueryBehavior(Answering):
                 if self.conn is not None:
                     self.conn.send({"kind": EVENT, "event": ev})
             # result delivered: drop the document so nothing piles up
-            current = self.ctx.node.entries.get(ev.entry.name)
-            if current is not None:
-                self.ctx.post(remove_event(current))
+            self.ctx.remove(ev.entry.name)
             self._maybe_finish()
         elif subscription == "wrappers" and ev.entry is not None:
             if ev.kind == INSERT:
@@ -723,9 +725,7 @@ class SubscriberBehavior(Behavior):
         self.ctx.receive("docs", And(_type_is(INSERT), _kind_is(DOCUMENT)))
         self.digest = self.setting("digest", None)
         if self.digest is not None:
-            label = f"digest-{self.ctx.name}"
-            self.ctx.schedule(label, every=self.digest)
-            self.ctx.receive("ticks", And(_type_is(TIME), Cmp("event.label", "==", label)))
+            self.ctx.every(f"digest-{self.ctx.name}", self.digest, "ticks")
 
     def _mail(self, subject: str, body: str) -> None:
         stub = self.ctx.stub(self.ctx.config.get("stub", "mail"))
@@ -762,10 +762,11 @@ class SubscriberManagerBehavior(Behavior):
     ``submit`` is a channel endpoint that only lets document events in."""
 
     resume_on_suspend = True
-    config_keys = {"topic_filter": optional_filter, "digest": positive}
+    config_keys = {"topic_filter": optional_filter, "digest": positive,
+                   "role": choice("manage", "submit")}
 
     def on_start(self) -> None:
-        if self.ctx.config.get("role", "manage") == "manage":
+        if self.setting("role", "manage") == "manage":
             has_request = Not(Cmp("meta.request", "==", ""))
             self.ctx.receive("default", And(_type_is(INSERT),
                                             And(_kind_is(DOCUMENT), has_request)))
@@ -791,17 +792,13 @@ class SubscriberManagerBehavior(Behavior):
             if name not in self.ctx.node.entries:
                 self.ctx.post(insert_event(port_entry(name, spec)))
         elif request == "unsubscribe":
-            member = self.ctx.node.entries.get(name)
-            if member is not None:
-                self.ctx.post(remove_event(member))
+            self.ctx.remove(name)
         # the request document is processed: clear it away
-        current = self.ctx.node.entries.get(ev.entry.name)
-        if current is not None:
-            self.ctx.post(remove_event(current))
+        self.ctx.remove(ev.entry.name)
         return False
 
     def on_external(self, conn, msg: dict) -> None:
-        if self.ctx.config.get("role", "manage") != "submit":
+        if self.setting("role", "manage") != "submit":
             return
         kind = msg.get("kind")
         if kind == EVENT:
@@ -822,13 +819,10 @@ class GcBehavior(Behavior):
     def __init__(self, ctx):
         super().__init__(ctx)
         self.ages: dict[str, int] = {}
-        self.label = f"gc-{self.ctx.name}"
 
     def on_start(self) -> None:
-        self.ctx.schedule(self.label, every=self.setting("every", 10))
         self.ctx.receive("watch", And(_type_is(INSERT), _kind_is(DOCUMENT)))
-        self.ctx.receive("ticks", And(_type_is(TIME),
-                                      Cmp("event.label", "==", self.label)))
+        self.ctx.every(f"gc-{self.ctx.name}", self.setting("every", 10), "ticks")
 
     def on_event(self, ev, subscription: str) -> bool:
         if subscription == "watch" and ev.kind == INSERT and ev.entry is not None:

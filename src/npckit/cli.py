@@ -1,7 +1,7 @@
 """Command line front ends: npcd runs servers, npc talks to them.
 
 npc speaks the native protocol over TCP, one connection per invocation.
-Exit codes: 0 success, 1 not found (or refused), 2 usage, 3 transport.
+Exit codes: 0 success, 1 not found (or refused), 2 usage (any bad input), 3 transport.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import socket
 import sys
 import time
 
-from .apps import PRESETS, build_preset, demo_scenario
+from .apps import UnknownPreset, build_preset, demo_scenario
 from .model import UrlError, parse_url
 from .wire import WireError, encode_frame, read_frame
 
@@ -127,6 +127,23 @@ def key_value(pair: str) -> tuple[str, str]:
     return k, v
 
 
+def _run(args) -> int:
+    """Run the subcommand ``args`` names.  An error a user can mend is one
+    line on stderr and the exit code of its type; any other, a traceback."""
+    try:
+        return args.fn(args)
+    except Exception as e:
+        from .server import ConfigError  # loaded only here: npc needs neither module
+        from .sim import SimError
+        usage = (UrlError, ConfigError, UnknownPreset, SimError, OSError, json.JSONDecodeError,
+                 UnicodeDecodeError)
+        for types, code in ((TransportError, TRANSPORT), (Refused, NOT_FOUND), (usage, USAGE)):
+            if isinstance(e, types):
+                sys.stderr.write(f"{e}\n")
+                return code
+        raise
+
+
 # -- npc subcommands -------------------------------------------------------------
 
 def cmd_get(args) -> int:
@@ -235,18 +252,7 @@ def npc_main(argv=None) -> int:
                    help="print result contents instead of names")
     g.set_defaults(fn=cmd_query)
 
-    args = p.parse_args(argv)
-    try:
-        return args.fn(args)
-    except UrlError as e:
-        sys.stderr.write(f"{e}\n")
-        return USAGE
-    except TransportError as e:
-        sys.stderr.write(f"{e}\n")
-        return TRANSPORT
-    except Refused as e:
-        sys.stderr.write(f"{e}\n")
-        return NOT_FOUND
+    return _run(p.parse_args(argv))
 
 
 # -- npcd subcommands --------------------------------------------------------------
@@ -255,10 +261,11 @@ def npcd_serve(args) -> int:
     from .server import Server, ServerConfig
     with open(args.config) as f:
         raw = json.load(f)
-    configs = raw if isinstance(raw, list) else [raw]
+    # every config is parsed before any server starts
+    configs = [ServerConfig.from_dict(c) for c in (raw if isinstance(raw, list) else [raw])]
     servers = []
-    for c in configs:
-        s = Server(ServerConfig.from_dict(c), real=True)
+    for config in configs:
+        s = Server(config, real=True)
         s.start()
         servers.append(s)
         http = f", http {s.httpd.port}" if s.httpd else ""
@@ -276,10 +283,6 @@ def npcd_serve(args) -> int:
 
 
 def npcd_preset(args) -> int:
-    if args.name not in PRESETS:
-        sys.stderr.write(f"unknown preset {args.name!r}; "
-                         f"have {', '.join(sorted(PRESETS))}\n")
-        return USAGE
     configs = build_preset(args.name, dict(args.param or []))
     print(json.dumps(configs, indent=2, sort_keys=True))
     return OK
@@ -287,7 +290,7 @@ def npcd_preset(args) -> int:
 
 def npcd_sim(args) -> int:
     from .sim import run_scenario
-    if args.preset:
+    if args.preset is not None:
         scenario = demo_scenario(args.preset)
     else:
         with open(args.scenario) as f:
@@ -311,17 +314,12 @@ def npcd_main(argv=None) -> int:
     g.set_defaults(fn=npcd_preset)
 
     g = sub.add_parser("sim", help="run a scenario deterministically and print its trace")
-    g.add_argument("--scenario", help="scenario JSON file")
-    g.add_argument("--preset", help="run a preset's demo scenario instead")
+    one = g.add_mutually_exclusive_group(required=True)
+    one.add_argument("--scenario", help="scenario JSON file")
+    one.add_argument("--preset", help="run a preset's demo scenario instead")
     g.set_defaults(fn=npcd_sim)
 
-    args = p.parse_args(argv)
-    from .server import ConfigError
-    try:
-        return args.fn(args)
-    except (ConfigError, FileNotFoundError) as e:
-        sys.stderr.write(f"{e}\n")
-        return USAGE
+    return _run(p.parse_args(argv))
 
 
 def main(argv=None) -> int:

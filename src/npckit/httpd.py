@@ -98,7 +98,7 @@ def _serve(server, method: str, raw_path: str, body: bytes, content_type, conn):
         if node is None:
             return NOT_FOUND
         pname = server.next_name("req", node)
-        node.attachments[pname] = {"conn": conn}
+        node.attachments[pname] = conn
         node.post_event(NODE_ORIGIN, insert_event(port_entry(pname, request_spec(node, name))))
         return None
 

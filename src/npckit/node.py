@@ -127,7 +127,7 @@ class Node:
         self.sinks: dict[str, object] = {}
         self.timers: dict[str, TimerSpec] = {}
         self.held: dict[str, Holdings] = {}  # port name -> what it owns
-        self.attachments: dict[str, dict] = {}
+        self.attachments: dict[str, object] = {}  # port name -> the connection it is spawned with
         self.index = FilterIndex()
         self.tracer = tracer
         self.on_port_inserted = None

@@ -19,9 +19,9 @@ from functools import lru_cache
 from typing import Callable
 
 from . import wire
-from .filters import FilterError, FilterExpr, parse_filter
+from .filters import And, Cmp, FilterError, FilterExpr, parse_filter
 from .firewall import FirewallError, parse_rules
-from .history import NODE_ORIGIN, receive_event, remove_event, resume_event
+from .history import NODE_ORIGIN, TIME, receive_event, remove_event, resume_event
 from .model import DOCUMENT, PORT, EntryUrl, parse_url, valid_name
 from .node import NodeError, TimerSpec
 
@@ -29,11 +29,11 @@ from .node import NodeError, TimerSpec
 class PortContext:
     """Everything a behavior may do, bound to one port on one node."""
 
-    def __init__(self, server, node, name: str, attachment: dict | None = None):
+    def __init__(self, server, node, name: str, attachment=None):
         self.server = server
         self.node = node
         self.name = name
-        self.attachment = attachment or {}
+        self.attachment = attachment  # the caller's connection, handed over at spawn
         self.conns: dict = {}  # id -> the connections this port owns
 
     # -- introspection -------------------------------------------------------
@@ -75,6 +75,11 @@ class PortContext:
     def resume(self, subscription: str = "default"):
         return self.post(resume_event(subscription))
 
+    def remove(self, name: str):
+        """Post a Remove of ``name`` if the node holds it: the stamped event, or None."""
+        entry = self.node.entries.get(name)
+        return None if entry is None else self.post(remove_event(entry))
+
     def self_remove(self) -> None:
         """Retire this port.  Issued by the node rather than through the
         port's own output filter, so restricted ports can still clean up
@@ -89,6 +94,12 @@ class PortContext:
 
     def schedule(self, label: str, every: int) -> None:
         self.node.schedule(TimerSpec(label, every=every, port=self.name), now=self.now())
+
+    def every(self, label: str, period: int, subscription: str):
+        """Fire timer ``label`` every ``period``, its ticks delivered on ``subscription``."""
+        self.schedule(label, every=period)
+        return self.receive(subscription, And(Cmp("event.type", "==", TIME),
+                                              Cmp("event.label", "==", label)))
 
     def defer(self, method: str) -> None:
         """Run this port's ``method`` once from the driving loop, after the
@@ -166,6 +177,15 @@ def positive(text: str) -> int:
     if value < 1:
         raise ValueError("below 1")
     return value
+
+
+def choice(*values: str) -> Callable[[str], str]:
+    """Parser of a config value from a closed set: one of ``values``."""
+    def parse(text: str) -> str:
+        if text not in values:
+            raise ValueError(f"not one of {', '.join(values)}")
+        return text
+    return parse
 
 
 def optional_filter(text: str) -> FilterExpr | None:

@@ -243,8 +243,8 @@ class Server:
         node.sinks[entry.name] = partial(self._hook, b, "on_event")
         if entry.payload.receive_flag:
             node.create_default_subscription(entry.name, entry.payload)
-        if attachment and "conn" in attachment:
-            self._hand_over(attachment["conn"], key)
+        if attachment is not None:
+            self._hand_over(attachment, key)
         self._hook(b, "on_start")
 
     def _stop_port(self, node: Node, name: str) -> None:

@@ -171,6 +171,14 @@ class SimRun:
         return out
 
 
+def _field(stim: dict, key: str):
+    """``stim[key]``, a field its kind of stimulus needs."""
+    try:
+        return stim[key]
+    except KeyError:
+        raise SimError(f"{stim.get('do')} stimulus without {key!r}") from None
+
+
 def apply_stimulus(run: SimRun, stim: dict) -> None:
     do = stim.get("do")
     if do == "quiesce":
@@ -181,28 +189,28 @@ def apply_stimulus(run: SimRun, stim: dict) -> None:
         for _ in range(stim.get("n", 1)):
             run.round()
     elif do == "post":
-        s = run.server(stim["server"])
+        s = run.server(_field(stim, "server"))
         node = s.nodes.get(tuple(stim.get("node", (s.config.root_name,))))
         if node is None:
             raise SimError(f"post: no node {stim.get('node')}")
         try:
-            ev = event_from_json(stim["event"])
+            ev = event_from_json(_field(stim, "event"))
         except WireError as e:
             raise SimError(f"post: bad event: {e}")
         node.post_event(stim.get("port", "@node"), ev)
         run.quiesce()
     elif do == "connect":
-        run.connect(stim["id"], stim["target"])
+        run.connect(_field(stim, "id"), _field(stim, "target"))
     elif do == "send":
-        run.send(stim["conn"], stim["msg"])
+        run.send(_field(stim, "conn"), _field(stim, "msg"))
     elif do == "close":
-        run.close(stim["conn"])
+        run.close(_field(stim, "conn"))
     elif do == "http":
-        s = run.server(stim["server"])
+        s = run.server(_field(stim, "server"))
         body = stim.get("body_text", "").encode("utf-8") \
             if "body_text" in stim else stim.get("body", b"")
         status, _, payload = http_request(s, stim.get("method", "GET"),
-                                          stim["path"], body,
+                                          _field(stim, "path"), body,
                                           stim.get("content_type"))
         run.http.append((status, payload))
         run.quiesce()
@@ -211,6 +219,8 @@ def apply_stimulus(run: SimRun, stim: dict) -> None:
 
 
 def run_scenario(scenario: dict) -> SimRun:
+    if not isinstance(scenario, dict):
+        raise SimError("a scenario is an object of servers and stimuli")
     run = SimRun()
     for config in scenario.get("servers", []):
         run.add_server(config)

@@ -144,13 +144,14 @@ def event_bytes(ev: Event) -> bytes | memoryview:
 
 
 # how a value of each type is written: events and entries from their own
-# bytes, spliced into the body; plain values as JSON text
-_SPLICED = {Event: event_bytes, Entry: entry_bytes}
+# bytes, spliced into the body, as are bytes, which are JSON text already;
+# plain values as JSON text
+_SPLICED = {Event: event_bytes, Entry: entry_bytes, bytes: lambda v: v, memoryview: lambda v: v}
 _PLAIN = {str: _str, int: int.__repr__, bool: lambda v: "true" if v else "false",
           type(None): lambda v: "null"}
 
 
-def _item(v: Event | Entry) -> bytes:
+def _item(v: Event | Entry | bytes | memoryview) -> bytes:
     return _SPLICED[type(v)](v)
 
 
@@ -183,7 +184,8 @@ def _body(body: dict) -> bytes:
 
 def encode_frame(msg: dict) -> bytes:
     """Serialize a message dict (without ``v``; it is added here).  A value
-    may be an ``Event`` or ``Entry``, or a list of them.  A query result's
+    may be an ``Event`` or ``Entry``, or a list of them, or of their JSON
+    as ``event_bytes`` and ``entry_bytes`` give it.  A query result's
     frame is the kept frame of its entry, the very object."""
     if len(msg) == 2 and msg.get("kind") == EVENT and type(ev := msg.get("event")) is Event:
         if _is_result(ev):
@@ -263,45 +265,43 @@ class FrameBuffer:
     def feed(self, data: bytes) -> None:
         self._buf.extend(data)
 
-    def pop(self) -> dict | None:
+    def _end(self) -> int:
+        """Where the frame at the front ends, or its length prefix until that is in."""
         if len(self._buf) < 4:
-            return None
-        (length,) = struct.unpack(">I", self._buf[:4])
+            return 4
+        (length,) = struct.unpack_from(">I", self._buf)
         if length > MAX_BODY:
             raise WireError("oversize", f"{length} byte body announced")
-        if len(self._buf) < 4 + length:
+        return 4 + length
+
+    def needed(self) -> int:
+        """How many more bytes the frame at the front takes to be whole."""
+        return max(self._end() - len(self._buf), 0)
+
+    def pop(self) -> dict | None:
+        end = self._end()
+        if len(self._buf) < end:
             return None
-        data = bytes(self._buf[4 : 4 + length])
-        del self._buf[: 4 + length]
+        data = bytes(self._buf[4:end])
+        del self._buf[:end]
         return decode_body(data)
 
 
 def read_frame(recv) -> dict | None:
-    """Read one frame from a blocking byte source.
+    """Read one frame from a blocking byte source, never past its end.
 
     ``recv(n)`` must return up to n bytes, empty at end of stream.  Returns
     None on a clean end of stream before a frame starts.
     """
-    header = _recv_exact(recv, 4, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_BODY:
-        raise WireError("oversize", f"{length} byte body announced")
-    data = _recv_exact(recv, length, allow_eof=False)
-    return decode_body(data)
-
-
-def _recv_exact(recv, n: int, allow_eof: bool):
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = recv(n - len(buf))
+    frames = FrameBuffer()
+    while n := frames.needed():
+        chunk = recv(n)
         if not chunk:
-            if allow_eof and not buf:
+            if not frames._buf:  # nothing of a frame read yet
                 return None
             raise WireError("malformed", "stream ended mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
+        frames.feed(chunk)
+    return frames.pop()
 
 
 def bye_frame() -> bytes:

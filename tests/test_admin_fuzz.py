@@ -1,4 +1,4 @@
-"""A seeded fuzz of the admin port in the sim.
+"""A seeded fuzz of the admin port, in the sim and against a real server.
 
 Random ``cmd``, ``pull`` and pushed messages, with random values (and
 random types) in every field, go to the doc-server preset's admin port.
@@ -7,16 +7,22 @@ After each one: no fault, ``admin`` is still a port, and an error reply
 port they spawn) left the entry table as it was.  A fresh connection's
 ``list`` is answered throughout, and the clock ticks every ``TICK``
 messages, so the timers of the ports the fuzz inserted fire too.
+
+The differential test sends one seed's messages to a sim server and, over
+TCP, to a real one, and requires the same replies on each connection.
 """
 
 import random
+import socket
 
 import pytest
 
 from npckit.apps import build_preset
 from npckit.model import PORT
 from npckit.ports import BEHAVIORS
+from npckit.server import Server, ServerConfig
 from npckit.sim import SimRun
+from npckit.wire import encode_frame, read_frame
 
 MESSAGES = 500
 TICK = 25
@@ -134,3 +140,97 @@ def test_random_messages_never_fault_or_take_the_admin_port_away(seed):
         if i % 100 == 99:
             assert admin_is_answering(run), context
     assert admin_is_answering(run)
+
+
+# -- the same replies from a sim server and a real one ---------------------------
+
+DIFFERENTIAL = 200
+SOCKETS = 3
+BARRIER = {"kind": "cmd", "op": "get", "name": "admin"}
+
+
+def doc_server_at(port: int) -> dict:
+    """The doc-server preset on 127.0.0.1, without HTTP, that dials no one:
+    the forwarders and pullers the fuzz inserts never reach a name lookup.
+    Nothing ticks either clock, so no timer fires."""
+    config = build_preset("doc-server", {"host": "127.0.0.1"})[0]
+    del config["http_port"]
+    return {**config, "npc_tcp_port": port, "firewall": "deny out *:* npc-tcp"}
+
+
+class Client:
+    """One connection to the real server on a socket of the test's own:
+    frames go out in random pieces of 1 to 7 bytes, and come in through a
+    4 KiB receive buffer and ``wire.read_frame``."""
+
+    def __init__(self, port: int, rng: random.Random):
+        self.rng = rng
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.settimeout(10)
+        self.sock.connect(("127.0.0.1", port))
+
+    def send(self, msg: dict) -> None:
+        frame, at = encode_frame(msg), 0
+        while at < len(frame):
+            step = self.rng.randint(1, 7)
+            self.sock.sendall(frame[at:at + step])
+            at += step
+
+    def recv(self) -> dict | None:
+        return read_frame(self.sock.recv)
+
+    def replies(self, barrier: dict | None = None, count: int = 0) -> list:
+        """The frames up to the ``count``-th that equals ``barrier``, or
+        without a barrier, up to the end of the stream."""
+        frames = []
+        while (frame := self.recv()) is not None:
+            frames.append(frame)
+            count -= frame == barrier
+            if barrier is not None and count == 0:
+                break
+        return frames
+
+
+@pytest.mark.parametrize("seed", [1])
+def test_a_sim_server_and_a_real_one_give_the_same_replies(seed):
+    rng = random.Random(seed)
+    fuzz = Fuzz(seed)
+    real = Server(ServerConfig.from_dict(doc_server_at(0)), real=True, clock=lambda: 0)
+    real.start()
+    clients: dict[int, Client] = {}
+    try:
+        port = real.advertised_port
+        target = f"npc://127.0.0.1:{port}/root/admin"
+        run = SimRun()
+        run.add_server(doc_server_at(port))
+        run.quiesce()
+        sim = run.server("127.0.0.1")
+        for i in range(DIFFERENTIAL):
+            slot = rng.randrange(SOCKETS)
+            cid = f"c{slot}"
+            if slot not in clients:  # (re)open the slot in both modes
+                run.connect(cid, target)
+                clients[slot] = Client(port, rng)
+                clients[slot].send({"kind": "hello", "target": target})
+                assert [clients[slot].recv()] == run.take_replies(cid), i
+            msg = fuzz.message()
+            client = clients[slot]
+            run.send(cid, msg)
+            client.send(msg)
+            if run.conns[cid].closed:  # a spawned port answered and hung up
+                want, got = run.take_replies(cid), client.replies()
+                clients.pop(slot).sock.close()
+                run.conns.pop(cid)
+            else:
+                run.send(cid, BARRIER)
+                client.send(BARRIER)
+                want = run.take_replies(cid)
+                got = client.replies(want[-1], want.count(want[-1]))
+            assert got == want, f"message {i} on {cid}: {msg!r}"
+        assert sim.faults == real.faults == 0
+    finally:
+        for client in clients.values():
+            client.sock.close()
+        real.stop()

@@ -14,6 +14,7 @@ import re
 import pytest
 
 from npckit import wire
+from npckit.wire import entry_from_json
 from npckit.apps import build_preset
 from npckit.cli import NpcClient
 from npckit.history import INSERT, REMOVE, insert_event
@@ -76,7 +77,26 @@ CASES = {
                           ("config.filter", "invalid-entry")),
     "subscriber-manager-topic-filter": (_port("subscriber-manager", topic_filter="not ("),
                                         ("config.topic_filter", "invalid-entry")),
+    # config values from a closed set
+    "choices-that-parse": (_port("puller", source=SOURCE, flavor="event"), None),
+    "forwarder-flavor": (_port("forwarder", target=SOURCE, flavor="events"),
+                         ("config.flavor", "invalid-entry")),
+    "classifier-flavor": (_port("classifier", target=SOURCE, flavor="Document"),
+                          ("config.flavor", "invalid-entry")),
+    "puller-flavor": (_port("puller", source=SOURCE, flavor=""), ("config.flavor", "invalid-entry")),
+    "admin-query-mode": (_port("admin", query_mode="Local"), ("config.query_mode", "invalid-entry")),
+    "query-mode": (_port("query", mode="remote"), ("config.mode", "invalid-entry")),
+    "subscriber-manager-role": (_port("subscriber-manager", role="submitt"),
+                                ("config.role", "invalid-entry")),
 }
+
+# every config key whose value comes from a closed set, with that set
+CHOICES = {("forwarder", "flavor"): ["document", "entry", "event"],
+           ("classifier", "flavor"): ["document", "entry", "event"],
+           ("puller", "flavor"): ["document", "entry", "event"],
+           ("admin", "query_mode"): ["local", "mediated"],
+           ("query", "mode"): ["local", "mediated"],
+           ("subscriber-manager", "role"): ["manage", "submit"]}
 
 
 class Feed(Behavior):
@@ -168,6 +188,36 @@ def test_every_path_admits_by_the_one_rule_and_a_refusal_changes_nothing(monkeyp
         by_a_pull(monkeypatch, entry, fault)
     else:
         over_a_channel(path, entry, fault)
+
+
+@pytest.mark.parametrize("behavior, key", sorted(CHOICES))
+def test_a_closed_set_config_key_admits_its_values_and_nothing_else(behavior, key):
+    values = CHOICES[behavior, key]
+    for value in values:
+        assert admission_fault(entry_from_json(_port(behavior, **{key: value}))) is None
+    for value in ["", " " + values[0], values[0].upper(), values[0] + "s", values[-1][:-1]]:
+        fault = admission_fault(entry_from_json(_port(behavior, **{key: value})))
+        assert fault[:2] == (f"config.{key}", "invalid-entry"), (value, fault)
+
+
+def test_a_query_mode_outside_its_set_is_refused_not_read_as_mediated():
+    """An admin port whose ``query_mode`` was ``Local`` used to be admitted,
+    and then answered a matching local query with no results."""
+    run = doc_server()
+    run.send("c", {"kind": "cmd", "op": "insert", "entry": {
+        "name": "d", "kind": "document", "meta": {"t": "a"}, "content_b64": ""}})
+    for mode, count in (("Local", None), ("local", 1)):
+        run.send("c", {"kind": "cmd", "op": "insert",
+                       "entry": {**_port("admin", query_mode=mode), "name": "q"}})
+        run.take_replies("c")
+        if count is None:
+            assert "q" not in run.server("web").root.entries
+            continue
+        run.connect("q", "npc://web:7070/root/q")
+        run.take_replies("q")
+        run.send("q", {"kind": "cmd", "op": "query", "query": 'meta.t == "a"'})
+        done = [r for r in run.take_replies("q") if r["kind"] == "ack"]
+        assert done == [{"v": 1, "kind": "ack", "done": True, "count": count}]
 
 
 @pytest.mark.parametrize("msg", [

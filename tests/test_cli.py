@@ -1,6 +1,9 @@
 """npc and npcd entry points, against a live server where needed."""
 
+import ast
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -162,3 +165,88 @@ def test_module_main_dispatches(capsys):
     assert main([]) == 2
     assert main(["npcd", "preset", "alerting"]) == 0
     capsys.readouterr()
+
+
+def npcd(argv) -> int:
+    """``npcd_main(argv)``'s exit code, also when argparse exits."""
+    try:
+        return npcd_main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def scenario_file(tmp_path, stimuli) -> str:
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps({"servers": [], "stimuli": stimuli}))
+    return str(f)
+
+
+def not_json(tmp_path) -> str:
+    f = tmp_path / "notes.txt"
+    f.write_text("host = box\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("argv, said", [
+    (lambda tmp: ["sim", "--preset", "nope"], "unknown preset 'nope'; have alerting, "),
+    (lambda tmp: ["sim"], "one of the arguments --scenario --preset is required"),
+    (lambda tmp: ["serve", "--config", not_json(tmp)], "Expecting value: line 1 column 1"),
+    (lambda tmp: ["sim", "--scenario", not_json(tmp)], "Expecting value: line 1 column 1"),
+    (lambda tmp: ["sim", "--scenario", scenario_file(tmp, [{"do": "dance"}])],
+     "unknown stimulus 'dance'"),
+    (lambda tmp: ["sim", "--scenario", scenario_file(tmp, [{"do": "post"}])],
+     "post stimulus without 'server'"),
+], ids=["unknown-preset", "bare-sim", "config-not-json", "scenario-not-json",
+        "unknown-stimulus", "stimulus-without-a-field"])
+def test_npcd_answers_bad_input_with_exit_2_and_one_line(tmp_path, capsys, argv, said):
+    assert npcd(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    *usage, line = err.splitlines()
+    assert said in line, err
+    # argparse prints its usage line before its own refusals
+    assert usage == [] or usage[0].startswith("usage: npcd sim"), err
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"name": "f", "kind": "port", "behavior": "forwarder",
+      "config": {"target": "npc://x:7070/root/in", "flavor": "events"}}, "flavor"),
+    ({"name": "a", "kind": "port", "behavior": "admin", "config": {"query_mode": "Local"}},
+     "query_mode"),
+], ids=["flavor", "query-mode"])
+def test_npcd_serve_refuses_a_config_value_outside_its_set(tmp_path, capsys, monkeypatch,
+                                                          config, field):
+    def served(_):
+        raise AssertionError("the config was admitted and served")
+    monkeypatch.setattr("npckit.cli.time.sleep", served)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"host": "box", "root": {"entries": [config]}}))
+    assert npcd_main(["serve", "--config", str(f)]) == 2
+    assert capsys.readouterr().err.startswith(f"config.root.entries[0].config.{field}: ")
+
+
+def test_npcd_serve_starts_no_server_when_any_config_is_bad(tmp_path, capsys):
+    f = tmp_path / "two.json"
+    f.write_text(json.dumps([{"host": "one", "npc_tcp_port": 0},
+                             {"host": "two", "firewall": "allow sideways *:* *"}]))
+    assert npcd_main(["serve", "--config", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config.firewall: ")
+
+
+def test_npcd_sim_refuses_a_scenario_that_is_not_an_object(tmp_path, capsys):
+    f = tmp_path / "servers.json"
+    f.write_text(json.dumps([{"host": "box"}]))
+    assert npcd_main(["sim", "--scenario", str(f)]) == 2
+    assert capsys.readouterr().err == "a scenario is an object of servers and stimuli\n"
+
+
+def _excepts(fn) -> list:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
+
+
+def test_the_front_ends_share_one_table_of_exit_codes():
+    """npc and npcd catch nothing themselves: one function maps an error's
+    type to its exit code for both."""
+    assert _excepts(npc_main) == [] and _excepts(npcd_main) == []

@@ -5,8 +5,9 @@ Time is too noisy to pin this, so work is counted: calls of
 (what ``EventHistory.since`` hands out), documents a behaviour reads as
 candidates (each ``insert_event`` of a document in ``behaviors``),
 ``Node.deliver_step`` calls, full encodes of a document's content
-(``base64.b64encode`` calls), names ``behaviors`` passes to ``sorted``, and
-entries handed out by iterating a node's table.
+(``base64.b64encode`` calls), events written as JSON (``wire.event_bytes``
+calls), names ``behaviors`` passes to ``sorted``, and entries handed out by
+iterating a node's table.
 Each path is run at N and at 4N documents, every one of which is also an
 event in the history, and its counts per operation must agree within
 ``SLACK``.  Delivery is run the same way at S and at 4S subscriptions that
@@ -20,8 +21,8 @@ from collections import Counter
 
 import pytest
 
-from npckit import behaviors, filters, gateways, history, node
-from npckit.history import INSERT, EventHistory
+from npckit import behaviors, filters, gateways, history, node, wire
+from npckit.history import INSERT, Event, EventHistory
 from npckit.model import DOCUMENT
 from npckit.node import Node
 from npckit.sim import SimRun
@@ -65,6 +66,7 @@ def counting(monkeypatch, *runs: SimRun) -> Counter:
     counts = Counter()
     real_eval, real_since, real_step = behaviors.eval_filter, EventHistory.since, Node.deliver_step
     real_insert, real_b64 = behaviors.insert_event, base64.b64encode
+    real_event_bytes = wire.event_bytes
 
     nesting = [0]
 
@@ -93,6 +95,10 @@ def counting(monkeypatch, *runs: SimRun) -> Counter:
         counts["content_encodes"] += 1
         return real_b64(data, *args)
 
+    def event_bytes(ev):
+        counts["event_bytes"] += 1
+        return real_event_bytes(ev)
+
     def sorted_names(names, **kwargs):
         names = list(names)
         counts["names_sorted"] += len(names)
@@ -106,6 +112,9 @@ def counting(monkeypatch, *runs: SimRun) -> Counter:
     monkeypatch.setattr(behaviors, "insert_event", insert_event)
     monkeypatch.setattr(Node, "deliver_step", deliver_step)
     monkeypatch.setattr(base64, "b64encode", b64encode)
+    for module in (behaviors, wire):
+        monkeypatch.setattr(module, "event_bytes", event_bytes)
+    monkeypatch.setitem(wire._SPLICED, Event, event_bytes)  # an event in a list
     monkeypatch.setattr(behaviors, "sorted", sorted_names, raising=False)
     for run in runs:  # the tables stay swapped: what was posted meanwhile stays in them
         for server in run.servers.values():
@@ -212,7 +221,7 @@ def per_op(monkeypatch, path, n: int, s: int = 0) -> dict:
 
 def assert_flat(small: dict, large: dict) -> None:
     for key in ("eval_filter", "events_read", "documents_read", "deliver_step",
-                "content_encodes", "names_sorted"):
+                "content_encodes", "event_bytes", "names_sorted"):
         assert abs(small.get(key, 0) - large.get(key, 0)) <= SLACK, (key, small, large)
 
 
@@ -260,7 +269,19 @@ def pulled(monkeypatch, n: int) -> dict:
 
 
 def test_work_per_pulled_event_does_not_grow_with_the_history(monkeypatch):
-    assert_flat(pulled(monkeypatch, N), pulled(monkeypatch, 4 * N))
+    small, large = pulled(monkeypatch, N), pulled(monkeypatch, 4 * N)
+    assert_flat(small, large)
+    # the bytes ``serve_pull`` sizes an event by are the bytes its ack carries
+    assert small["event_bytes"] == large["event_bytes"] == 1, (small, large)
+
+
+def test_one_pull_writes_each_event_it_answers_with_once(monkeypatch):
+    run = origin(N)
+    after = last_seq(run) - 7
+    counts = counting(monkeypatch, run)
+    (ack,) = ask(run, {"kind": "pull", "after": after})
+    assert len(ack["events"]) == 7 and ack["at_end"]
+    assert counts["event_bytes"] == 7, counts
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from npckit.filters import parse_filter
 from npckit.history import NODE_ORIGIN, REMOVE, TIME, EventHistory, insert_event
 from npckit.httpd import http_request
 from npckit.model import PORT, PortSpec, document_entry, node_entry, port_entry
-from npckit.ports import BEHAVIORS, Behavior
+from npckit.ports import BEHAVIORS, Behavior, PortContext
 from npckit.server import Server, ServerConfig
 from npckit.sim import SimClient, SimRun, apply_stimulus
 from npckit import wire
@@ -713,6 +713,52 @@ def test_connections_are_recorded_only_by_the_ports_that_own_them():
                 tables.append(f"{path.name}:{node.lineno}")
     assert tables == []
     assert not hasattr(admin_run().server("a"), "conns")
+
+
+def test_behaviors_leave_timers_and_their_filters_to_the_context():
+    """A timer and the subscription its ticks come on are one call,
+    ``PortContext.every``: no behavior builds an ``event.label`` filter or
+    schedules a timer itself."""
+    tree = ast.parse((SRC / "behaviors.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Constant) and node.value == "event.label")
+             or (isinstance(node, ast.Attribute) and node.attr == "schedule")]
+    assert found == []
+
+
+def test_a_context_removes_an_entry_only_when_its_node_holds_one():
+    run = admin_run()
+    server = run.server("a")
+    root = server.root
+    root.post_event(NODE_ORIGIN, insert_event(document_entry("d", b"x")))
+    ctx = server.behavior_at(("root",), "admin").ctx
+    last, lines = root.history.last_seq, len(run.tracer.lines())
+    assert ctx.remove("ghost") is None
+    assert (root.history.last_seq, len(run.tracer.lines())) == (last, lines)
+    stamped = ctx.remove("d")
+    assert (stamped.kind, stamped.entry.name, stamped.origin_port) == (REMOVE, "d", "admin")
+    assert "d" not in root.entries
+
+
+def test_a_spawned_port_is_handed_its_callers_connection_itself(monkeypatch):
+    """``fetch``, ``query`` and an HTTP GET each attach the caller's
+    connection to the port they spawn, as it is."""
+    handed = {}
+    init = PortContext.__init__
+
+    def recording(self, server, node, name, attachment=None):
+        handed[name] = attachment
+        init(self, server, node, name, attachment)
+    monkeypatch.setattr(PortContext, "__init__", recording)
+    run = admin_run()
+    for msg in ({"kind": "cmd", "op": "fetch", "name": "admin"},
+                {"kind": "cmd", "op": "query", "query": "true"}):
+        run.send("c", msg)
+        run.connect("c", "npc://a:7070/root/admin")
+    assert http_request(run.server("a"), "GET", "/root/admin")[0] == 404
+    attached = {name: conn for name, conn in handed.items() if conn is not None}
+    assert sorted(name.split("-")[0] for name in attached) == ["query", "req", "req"]
+    assert all(isinstance(conn, gateways.Conn) for conn in attached.values()), attached
 
 
 def test_no_module_copies_with_dataclasses_replace():

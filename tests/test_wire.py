@@ -1,16 +1,19 @@
 """Wire frames and the JSON codecs for entries and events."""
 
+import ast
 import json
+import pathlib
 import struct
 
 import pytest
 
 from conftest import rand_event, rand_filter
-from npckit import wire
+from npckit import gateways, wire
 from npckit.behaviors import tagged_with_origin
-from npckit.filters import Cmp, parse_filter, print_filter
-from npckit.history import Event, INSERT, KINDS, REMOVE, insert_event
+from npckit.filters import TRUE, Cmp, parse_filter, print_filter
+from npckit.history import Event, INSERT, KINDS, NODE_ORIGIN, REMOVE, insert_event, remove_event
 from npckit.model import Document, Entry, PortSpec, document_entry, node_entry, port_entry
+from npckit.sim import SimRun
 from npckit.wire import (FrameBuffer, MAX_BODY, WireError, bye_frame, decode_body,
                          encode_frame, entry_bytes, entry_from_json, entry_to_json,
                          event_bytes, event_from_json, event_to_json, read_frame)
@@ -182,6 +185,52 @@ def test_read_frame_mid_frame_eof_is_malformed():
     with pytest.raises(WireError) as exc:
         read_frame(recv)
     assert exc.value.code == "malformed"
+
+
+def stream_of(data: bytes):
+    """A blocking byte source over ``data``, the bytes it has not handed
+    out yet, and the sizes it was asked for."""
+    rest, asked = bytearray(data), []
+
+    def recv(n):
+        asked.append(n)
+        out = bytes(rest[:n])
+        del rest[:n]
+        return out
+    return recv, rest, asked
+
+
+def test_read_frame_reads_no_byte_past_its_frame():
+    first = encode_frame({"kind": "hello", "target": "t"})
+    recv, rest, asked = stream_of(first + bye_frame())
+    assert read_frame(recv)["kind"] == "hello"
+    assert asked == [4, len(first) - 4]
+    assert rest == bye_frame()  # the next frame is still unread
+
+
+def test_read_frame_refuses_an_oversize_frame_before_reading_its_body():
+    recv, rest, asked = stream_of(struct.pack(">I", MAX_BODY + 1) + b"{}")
+    with pytest.raises(WireError) as exc:
+        read_frame(recv)
+    assert exc.value.code == "oversize"
+    assert asked == [4] and rest == b"{}"
+
+
+# what reads an integer out of bytes
+PREFIX_PARSERS = {"unpack", "unpack_from", "iter_unpack", "from_bytes"}
+
+
+def test_only_the_frame_buffer_parses_a_length_prefix():
+    """``FrameBuffer`` is the one frame parser of the kit: ``read_frame``
+    and the TCP channels read through it."""
+    found = []
+    for path in sorted(pathlib.Path(wire.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "attr", getattr(node.func, "id", None)) in PREFIX_PARSERS:
+                    found.append((path.name, getattr(top, "name", None)))
+    assert found == [("wire.py", "FrameBuffer")]
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +568,49 @@ def test_kept_frames_and_spliced_copies_are_the_bytes_of_their_dicts(rng):
                 assert data == canonical(e)
                 assert frame is e._wire
                 assert frame == framed_json(result)
+
+
+def test_pull_and_history_acks_are_the_bytes_of_their_dicts(rng, monkeypatch):
+    """For seeded documents and nodes whose metadata and media types hold
+    quotes, backslashes, control characters, non-ASCII text and the very
+    keys a splice looks for, inserted and some removed again: each pull
+    ack, its events tagged with the node's URL, and each ``history`` ack,
+    untagged, is byte for byte what ``json.dumps`` writes for the live
+    events it answers with."""
+    run = SimRun()
+    run.add_server({"host": "a", "npc_tcp_port": 7070, "root": {"entries": [
+        {"name": "admin", "kind": "port", "behavior": "admin"}]}})
+    run.quiesce()
+    server = run.server("a")
+    root, url = server.root, server.url_for(server.root).text()
+    for i in range(200):
+        meta = rand_tricky_meta(rng)
+        if i % 4:
+            entry = document_entry(f"e{i}", rng.randbytes(rng.randrange(0, 300)),
+                                   rand_tricky_text(rng), meta)
+        else:
+            entry = node_entry(f"e{i}", meta)
+        root.post_event(NODE_ORIGIN, insert_event(entry))
+        if rng.random() < 0.2:
+            gone = rng.choice(sorted(name for name in root.entries if name != "admin"))
+            root.post_event(NODE_ORIGIN, remove_event(root.entries[gone]))
+    run.quiesce()
+    assert server.faults == 0
+    frames = []
+    encode = gateways.encode_frame
+    monkeypatch.setattr(gateways, "encode_frame",
+                        lambda msg: frames.append(encode(msg)) or frames[-1])
+    run.connect("c", "npc://a:7070/root/admin")
+    for _ in range(60):
+        after, most = rng.randrange(0, root.history.last_seq + 1), rng.choice([0, 1, 7])
+        tag = rng.random() < 0.5
+        msg = {"kind": "pull"} if tag else {"kind": "cmd", "op": "history"}
+        frames.clear()
+        run.send("c", {**msg, "after": after, "max": most})
+        sent, frame = frames
+        ack = decode_body(frame[4:])
+        live = [ev for ev in root.read_for_pull(after, TRUE) if ev.seq <= ack["last"]]
+        events = [tagged_with_origin(ev, url) if tag else ev for ev in live]
+        assert len(events) == len(ack["events"]) <= (most or len(events))
+        assert frame == framed_json({"kind": "ack", "events": events, "last": ack["last"],
+                                     "at_end": ack["at_end"]})
